@@ -3,7 +3,7 @@
 //! the paper describes literally).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fuzzyphase::regtree::{cross_validate, CrossValidation, Dataset, Fitter, TreeBuilder};
+use fuzzyphase::regtree::{cross_validate, CrossValidation, Dataset, Fitter};
 use fuzzyphase::stats::{seeded_rng, SparseVec};
 use rand::Rng;
 
@@ -81,14 +81,6 @@ fn bench_regtree(c: &mut Criterion) {
     });
     c.bench_function("tree_build_250x20k", |b| {
         b.iter(|| Fitter::new().full(&large))
-    });
-    // Split-entry-cache ablation: same tree, but every node re-gathers
-    // and re-sorts its non-zeros.
-    c.bench_function("tree_build_250x3k_rescan", |b| {
-        b.iter(|| TreeBuilder::new().fit_rescan(&small))
-    });
-    c.bench_function("tree_build_250x20k_rescan", |b| {
-        b.iter(|| TreeBuilder::new().fit_rescan(&large))
     });
     c.bench_function("cross_validate_10fold_k50", |b| {
         b.iter(|| cross_validate(&small, 7))

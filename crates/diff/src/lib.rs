@@ -17,11 +17,10 @@
 //! class-1 fraction `p` has `SSE = n·p·(1−p) = n·Gini/2`, so the SSE
 //! gain the regression kernel maximizes *is* the weighted Gini gain up
 //! to the constant factor ½, candidate for candidate, tie for tie. The
-//! fit therefore calls [`Fitter::full`] on the indicator dataset
-//! and runs the exact columnar split kernel of `fuzzyphase-regtree`
-//! (`kernel::grow_on_columns`), inheriting its batch/scalar
-//! bit-identity contract (DESIGN.md D13) — build with `--features
-//! scalar-ref` and the discriminant tree is bit-identical.
+//! fit therefore calls [`Fitter::full`] on the indicator dataset and
+//! runs the one best-first growth loop of `fuzzyphase-regtree`,
+//! inheriting its bit-identity contract with the test-side oracle
+//! (DESIGN.md D13).
 //!
 //! # Determinism contract (DESIGN.md D14)
 //!

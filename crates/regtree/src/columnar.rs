@@ -1,57 +1,29 @@
-//! Columnar (struct-of-arrays) EIPV storage and the batch tree-fit
-//! kernels that run on it (DESIGN.md D13).
+//! Columnar (struct-of-arrays) EIPV storage (DESIGN.md D13).
 //!
 //! The row-sparse [`Dataset`] stores one `SparseVec` per interval — the
 //! natural shape for ingest, but the wrong one for split search, which
 //! wants every candidate `(feature, value)` pair of a node in one
-//! contiguous, presorted sweep. [`TreeBuilder::fit`] used to rebuild
-//! that shape per fit by gathering `(feature, value, row)` triples and
-//! sorting them with an `O(E log E)` comparison sort. The columnar
-//! layout makes it the *primary* storage instead: per-feature contiguous
-//! `(value, row)` arrays built by a bucket-then-sort kernel — entries
-//! are placed into per-feature buckets through a dense `feature →
-//! offset` table in `O(E)`, then each (small) column is sorted
-//! independently on an order-preserving `u64` key ([`value_order_key`]),
-//! so the global comparison sort disappears.
+//! contiguous, presorted sweep. The columnar layout is that shape, kept
+//! as the dataset's memoized *primary* storage ([`Dataset::columnar`]):
+//! per-feature contiguous `(value, row)` arrays built by a
+//! bucket-then-sort kernel — entries are placed into per-feature buckets
+//! through a dense `feature → offset` table in `O(E)`, then each (small)
+//! column is sorted independently on an order-preserving `u64` key
+//! ([`value_order_key`]), so no global `O(E log E)` comparison sort runs.
 //!
-//! The growth machinery downstream lives in [`crate::kernel`] (the
-//! shared split kernel — also the substrate of `fuzzyphase-diff`'s
-//! discriminant trees); [`fit_on_columns`] is its regression-tree entry
-//! point. The kernel keeps the scalar algorithm's structure — per-node
-//! flat `(feature, value, row)` entry caches, stably partitioned into
-//! the children on expansion — but cuts the root cache directly from
-//! the columnar storage (no per-fit gather/sort) and batches the
-//! per-entry work:
-//!
-//! * a shared **squared-target table** replaces one multiply per entry
-//!   visit with a load of the identical product bits;
-//! * **singleton columns** (one non-zero row) resolve through a
-//!   per-row gain memo — their single candidate's
-//!   gain depends only on the node statistics and the row, and most
-//!   singleton rows repeat across a node's thousands of columns;
-//! * a **sound one-sided screen** (`node_sse - lsse <= bar` ⇒ the gain
-//!   cannot clear the bar, because the clamped right-side SSE is
-//!   non-negative) skips the right half of most candidate evaluations;
-//! * split sides are derived from the split feature's entry range
-//!   alone (no per-row binary search).
-//!
-//! Every floating-point accumulation keeps the scalar path's operation
-//! order, so the fitted tree is **bit-identical** to
-//! [`TreeBuilder::fit_scalar`] — asserted by unit, property, and CI
-//! tests, and enforced end-to-end by building the whole workspace with
-//! `--features scalar-ref` (which swaps the scalar oracle back in as
-//! the default fit).
+//! A fit cuts its root split-entry cache straight from these columns;
+//! the growth loop and its batch split search live in `kernel.rs`. The
+//! column order is exactly the `(feature, value)` order, ties in row
+//! order, that a per-node gather-and-sort produces, so the fitted tree is
+//! **bit-identical** to the test-side oracle's.
 
-use crate::builder::TreeBuilder;
 use crate::dataset::Dataset;
-use crate::kernel::grow_on_columns;
-use crate::tree::RegressionTree;
 
 /// Maps an `f64` to a `u64` whose unsigned order equals the IEEE 754
 /// total order ([`f64::total_cmp`]): flip the sign bit of non-negatives,
 /// flip every bit of negatives. Sorting columns by this key is both
 /// faster than a comparison sort on `f64` and *exactly* equivalent to
-/// the scalar path's `total_cmp` sort, ties included.
+/// a `total_cmp` sort, ties included.
 #[inline]
 pub fn value_order_key(v: f64) -> u64 {
     let b = v.to_bits();
@@ -88,7 +60,7 @@ const DENSE_BUILD_SLACK: usize = 1024;
 ///   order, and every `(feature, row)` pair appears at most once.
 /// * `col_sums[c]` / `col_sumsqs[c]` are `Σ y[row]` / `Σ y[row]²` over
 ///   column `c`'s entries, accumulated in column (value-sorted) order —
-///   the exact reduction the scalar split search's group pass performs.
+///   the exact reduction the split search's group pass performs.
 /// * The total number of stored entries equals the sum of the row
 ///   vectors' `nnz()`.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,8 +102,7 @@ impl ColumnarDataset {
 
         // Sort each column on (value key, row). Rows are unique within
         // a column, so this equals a stable sort by value with ties in
-        // row order — exactly the order the scalar path's global stable
-        // sort produces.
+        // row order — exactly the order a global stable sort produces.
         for c in 0..feat_ids.len() {
             let (a, b) = (col_starts[c] as usize, col_starts[c + 1] as usize);
             if b - a > 1 {
@@ -141,7 +112,7 @@ impl ColumnarDataset {
 
         // Unpack, and accumulate each column's group statistics in the
         // final (value-sorted) entry order — the reduction order the
-        // scalar split search's group pass uses.
+        // split search's group pass uses.
         let y = ds.targets().to_vec();
         let mut values = Vec::with_capacity(total);
         let mut rows = Vec::with_capacity(total);
@@ -283,28 +254,10 @@ impl ColumnarDataset {
     }
 }
 
-/// Fits a tree on the columnar layout. Produces a tree bit-identical to
-/// [`TreeBuilder::fit_scalar`]: every floating-point reduction runs in
-/// the same order, only the memory layout and control flow differ.
-///
-/// The columnar form is the dataset's memoized primary storage
-/// ([`Dataset::columnar`]), so repeated fits on one dataset pay the
-/// build once and then run [`fit_on_columns`] directly.
-pub(crate) fn fit_columnar(builder: &TreeBuilder, ds: &Dataset) -> RegressionTree {
-    fit_on_columns(builder, ds.columnar())
-}
-
-/// Fits a tree directly on the prebuilt [`ColumnarDataset`] primary
-/// storage, via the shared growth kernel ([`crate::kernel`]). External
-/// callers go through [`crate::Fitter::full_on_columns`] — this is the
-/// crate-internal plumbing behind it.
-pub(crate) fn fit_on_columns(builder: &TreeBuilder, cols: &ColumnarDataset) -> RegressionTree {
-    RegressionTree::from_nodes(grow_on_columns(builder, cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{oracle, Fitter};
     use fuzzyphase_stats::{seeded_rng, SparseVec};
     use rand::Rng;
 
@@ -470,17 +423,17 @@ mod tests {
         assert_eq!(via_fallback.col_starts, via_dense.col_starts);
         assert_eq!(via_fallback.values, via_dense.values);
         assert_eq!(via_fallback.rows, via_dense.rows);
-        // The trees agree too.
-        let b = TreeBuilder::new().min_leaf(2);
-        assert_eq!(b.fit(&ds), b.fit_scalar(&ds));
+        // The fit on the fallback layout matches the oracle too.
+        let tree = Fitter::new().min_leaf(2).full(&ds);
+        oracle::assert_tree_matches(&tree, &ds, 50, 2);
     }
 
     #[test]
     fn columnar_fit_matches_scalar_on_paper_example() {
         let ds = Dataset::paper_example();
         for cap in 1..=8 {
-            let b = TreeBuilder::new().max_leaves(cap);
-            assert_eq!(fit_columnar(&b, &ds), b.fit_scalar(&ds), "cap {cap}");
+            let tree = Fitter::new().max_leaves(cap).full(&ds);
+            oracle::assert_tree_matches(&tree, &ds, cap, 1);
         }
     }
 
@@ -489,14 +442,8 @@ mod tests {
         for seed in 0..6 {
             let ds = random_dataset(seed, 90, 15);
             for min_leaf in [1, 2, 3] {
-                let b = TreeBuilder::new().min_leaf(min_leaf);
-                let col = fit_columnar(&b, &ds);
-                let sca = b.fit_scalar(&ds);
-                assert_eq!(col, sca, "seed {seed} min_leaf {min_leaf}");
-                for (cn, sn) in col.nodes().iter().zip(sca.nodes()) {
-                    assert_eq!(cn.mean.to_bits(), sn.mean.to_bits());
-                    assert_eq!(cn.sse.to_bits(), sn.sse.to_bits());
-                }
+                let tree = Fitter::new().min_leaf(min_leaf).full(&ds);
+                oracle::assert_tree_matches(&tree, &ds, 50, min_leaf);
             }
         }
     }
@@ -518,8 +465,8 @@ mod tests {
                 ys.push(rng.gen_range(0..5) as f64);
             }
             let ds = Dataset::new(rows, ys);
-            let b = TreeBuilder::new().min_leaf(2);
-            assert_eq!(fit_columnar(&b, &ds), b.fit_scalar(&ds));
+            let tree = Fitter::new().min_leaf(2).full(&ds);
+            oracle::assert_tree_matches(&tree, &ds, 50, 2);
         }
     }
 }

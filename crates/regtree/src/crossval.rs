@@ -213,14 +213,7 @@ impl CrossValidation {
     fn fold_sse(&self, ds: &Dataset, fitter: &Fitter, train: &[usize], test: &[usize]) -> Vec<f64> {
         let train_ds = ds.subset(train);
         let tree = fitter.full(&train_ds);
-        #[cfg(feature = "scalar-ref")]
-        {
-            eval_sse_scalar(&tree, ds, test, self.k_max)
-        }
-        #[cfg(not(feature = "scalar-ref"))]
-        {
-            eval_sse_batch(&tree, ds, test, self.k_max)
-        }
+        eval_sse_batch(&tree, ds, test, self.k_max)
     }
 }
 
@@ -232,9 +225,9 @@ impl CrossValidation {
 /// instead of a per-`k` pointer walk.
 ///
 /// Adds exactly one `err²` per `(test point, k)` pair, in test-point
-/// order — the same additions in the same order as
-/// [`eval_sse_scalar`], so fold partials (and therefore RE curves) are
-/// bit-identical between the two.
+/// order — the same additions in the same order as a per-`k` walk of
+/// every path (the test-side oracle), so fold partials and therefore RE
+/// curves are bit-identical to it.
 pub fn eval_sse_batch(
     tree: &RegressionTree,
     ds: &Dataset,
@@ -263,34 +256,6 @@ pub fn eval_sse_batch(
             for s in &mut sse[lo - 1..hi] {
                 *s += e2;
             }
-        }
-    }
-    sse
-}
-
-/// Scalar reference for [`eval_sse_batch`]: the per-`k` walk that
-/// advances a path cursor for every chamber count. Retained as the
-/// bit-identity oracle (and as the kernel behind cross-validation when
-/// the `scalar-ref` feature is enabled).
-pub fn eval_sse_scalar(
-    tree: &RegressionTree,
-    ds: &Dataset,
-    test: &[usize],
-    k_max: usize,
-) -> Vec<f64> {
-    let mut sse = vec![0.0f64; k_max];
-    for &t in test {
-        let y = ds.target(t);
-        let path = tree.path_means(ds.row(t));
-        // path[(needed_k_minus_1, mean)]: prediction for T_k is
-        // the deepest path entry with needed ≤ k - 1.
-        let mut pi = 0;
-        for k in 1..=k_max {
-            while pi + 1 < path.len() && (path[pi + 1].0 as usize) < k {
-                pi += 1;
-            }
-            let err = y - path[pi].1;
-            sse[k - 1] += err * err;
         }
     }
     sse
@@ -337,7 +302,7 @@ pub fn cross_validate(ds: &Dataset, seed: u64) -> ReCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TreeBuilder;
+    use crate::oracle;
     use fuzzyphase_stats::{seeded_rng, SparseVec};
     use rand::Rng;
 
@@ -497,15 +462,12 @@ mod tests {
     #[test]
     fn batch_sse_bit_identical_to_scalar() {
         for (ds, seed) in [(separable(150, 20), 21u64), (noise(120, 22), 23)] {
-            let tree = TreeBuilder::new().fit(&ds);
+            let tree = Fitter::new().full(&ds);
             let test: Vec<usize> = (0..ds.len()).step_by(3).collect();
             for k_max in [1, 2, 7, 50, 80] {
                 let batch = eval_sse_batch(&tree, &ds, &test, k_max);
-                let scalar = eval_sse_scalar(&tree, &ds, &test, k_max);
-                assert_eq!(batch.len(), scalar.len(), "seed {seed} k_max {k_max}");
-                for (a, b) in batch.iter().zip(&scalar) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} k_max {k_max}");
-                }
+                assert_eq!(batch.len(), k_max, "seed {seed}");
+                oracle::assert_sse_matches(&batch, &tree, &ds, &test);
             }
         }
     }

@@ -1,29 +1,29 @@
-//! Delta-maintained incremental refits behind the unified [`Fitter`]
-//! API (DESIGN.md D15).
+//! The fit entry point, [`Fitter`], and the delta maintenance behind its
+//! incremental refits (DESIGN.md D15).
 //!
 //! The daemon accumulates `(EIPV, CPI)` rows and refits on a cadence.
 //! Refitting from scratch is O(non-zeros · depth) plus a columnar
-//! rebuild per refit; this module maintains the fitted tree *under
-//! append-only row deltas* instead: every node of the last tree keeps
-//! its row list, its presorted split-entry cache (the same `(feature,
-//! value, row)` triples the D13 kernel partitions) and its SSE partials
-//! ([`Stats`]), a delta is merged into exactly the nodes it routes
-//! through, and only subtrees whose best split actually changed are
-//! rebuilt. Everything else — the clean majority — is reused verbatim.
+//! rebuild per refit; [`Fitter::incremental`] maintains the fitted tree
+//! *under append-only row deltas* instead: every node of the last tree
+//! keeps its row list, its presorted split-entry cache and its SSE
+//! partials, a delta is merged into exactly the nodes it routes
+//! through, and the one best-first loop (`kernel.rs`) then
+//! re-searches only those nodes and rebuilds only subtrees whose best
+//! split actually changed. Everything else — the clean majority — is
+//! reused verbatim.
 //!
-//! # Bit-identity (the oracle policy)
+//! # Bit-identity
 //!
-//! [`Fitter::incremental`] is *not* an approximation:
-//! the tree it returns is bit-identical to what
-//! [`TreeBuilder::fit`] would grow from scratch on the same accumulated
-//! dataset, for every delta schedule (property-tested, and re-proven
-//! against the scalar oracle under `--features scalar-ref`). The
-//! soundness argument is spelled out in DESIGN.md D15; the short form:
+//! [`Fitter::incremental`] is *not* an approximation: the tree it
+//! returns is bit-identical to what [`Fitter::full`] grows from scratch
+//! on the same accumulated dataset, for every delta schedule
+//! (property-tested against the test-side oracle). The soundness
+//! argument is spelled out in DESIGN.md D15; the short form:
 //!
 //! * rows only ever *append*, so a node's row list stays an ascending
 //!   subset of dataset order, and pushing the new targets onto its
-//!   [`Stats`] in row order reproduces the exact accumulation order of
-//!   the scratch fit's `stats_of`;
+//!   SSE partials in row order reproduces the scratch fit's accumulation
+//!   order;
 //! * a node's entry cache is sorted by `(feature, value, row)` — a
 //!   *total* order, because appended rows carry larger row ids than
 //!   every earlier row — so merging the delta's presorted entries
@@ -31,34 +31,24 @@
 //! * therefore a changed ("dirty") node re-searched over its merged
 //!   cache sees the same floats in the same order as scratch, and a
 //!   clean node's cached candidate already *is* the scratch result;
-//! * gains being bit-equal, the best-first growth replay picks the same
-//!   leaf with the same tie-breaks at every step, so node indices and
-//!   split orders come out identical too.
+//! * gains being bit-equal, the growth loop picks the same leaf with the
+//!   same tie-breaks at every step, so node indices and split orders
+//!   come out identical too.
 
-use crate::builder::{Candidate, Stats, TreeBuilder};
-use crate::columnar::{value_order_key, ColumnarDataset};
+use crate::columnar::value_order_key;
 use crate::dataset::Dataset;
-use crate::kernel::{search_flat, stats_of, ColCache, RowGainCache};
-use crate::tree::{Node, RegressionTree, Split};
+use crate::kernel::{grow, Arena, ColCache, Entry, Slot, Stats};
+use crate::tree::{Node, RegressionTree};
 use fuzzyphase_stats::SparseVec;
-
-/// A non-zero count in a node: `(feature, value, row)`, sorted by the
-/// total key `(feature, value, row)` (see module docs).
-type Entry = (u32, f64, u32);
 
 #[inline]
 fn entry_key(e: &Entry) -> (u32, u64, u32) {
     (e.0, value_order_key(e.1), e.2)
 }
 
-/// The unified fit entry point: one builder covering the one-shot fit
+/// Configures and runs tree fitting: the one-shot scratch fit
 /// ([`Fitter::full`]) and the delta-maintained incremental refit
-/// ([`Fitter::incremental`]).
-///
-/// This replaces the scattered `fit` / `fit_cached` / `fit_on_columns`
-/// call sites; [`TreeBuilder`] remains public as the bit-identity
-/// *oracle* the incremental path is tested against (DESIGN.md D13/D15),
-/// but pipeline code goes through `Fitter`.
+/// ([`Fitter::incremental`]), both through the one growth loop.
 ///
 /// ```
 /// use fuzzyphase_regtree::{Dataset, Fitter};
@@ -67,14 +57,25 @@ fn entry_key(e: &Entry) -> (u32, u64, u32) {
 /// let tree = fitter.full(&ds);
 /// assert_eq!(tree.num_leaves(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fitter {
-    builder: TreeBuilder,
+    pub(crate) max_leaves: usize,
+    pub(crate) min_leaf: usize,
+}
+
+impl Default for Fitter {
+    fn default() -> Self {
+        Self {
+            // §4.3: "we chose to restrict the maximum number of chambers
+            // to be no more than 50".
+            max_leaves: 50,
+            min_leaf: 1,
+        }
+    }
 }
 
 impl Fitter {
-    /// Default configuration (≤ 50 chambers, leaves of ≥ 1 row) — the
-    /// same defaults as [`TreeBuilder::new`].
+    /// Default configuration (≤ 50 chambers, leaves of ≥ 1 row).
     pub fn new() -> Self {
         Self::default()
     }
@@ -85,7 +86,8 @@ impl Fitter {
     ///
     /// Panics if `k == 0`.
     pub fn max_leaves(mut self, k: usize) -> Self {
-        self.builder = self.builder.max_leaves(k);
+        assert!(k >= 1, "need at least one leaf");
+        self.max_leaves = k;
         self
     }
 
@@ -95,38 +97,40 @@ impl Fitter {
     ///
     /// Panics if `n == 0`.
     pub fn min_leaf(mut self, n: usize) -> Self {
-        self.builder = self.builder.min_leaf(n);
+        assert!(n >= 1, "min leaf size must be positive");
+        self.min_leaf = n;
         self
     }
 
-    /// One-shot fit of the whole dataset. Exactly [`TreeBuilder::fit`]:
-    /// the columnar batch kernels by default, the scalar oracle under
-    /// `--features scalar-ref`, bit-identical either way.
+    /// One-shot fit of the whole dataset, on its memoized columnar
+    /// storage ([`Dataset::columnar`]).
     pub fn full(&self, ds: &Dataset) -> RegressionTree {
-        self.builder.fit(ds)
-    }
-
-    /// One-shot fit on prebuilt columnar storage — for callers that
-    /// manage [`ColumnarDataset`] construction themselves (benches, the
-    /// ablation harness). Same tree as [`Fitter::full`].
-    pub fn full_on_columns(&self, cols: &ColumnarDataset) -> RegressionTree {
-        crate::columnar::fit_on_columns(&self.builder, cols)
+        let cols = ds.columnar();
+        let y = cols.targets();
+        // Squared targets, shared by every group-pass reduction: the
+        // product bits are the same wherever `y·y` is computed, so one
+        // table replaces a multiply per entry visit.
+        let ysq: Vec<f64> = y.iter().map(|&v| v * v).collect();
+        let mut arena = Arena {
+            nodes: Vec::new(),
+            slots: vec![Slot::root(cols)],
+        };
+        RegressionTree::from_nodes(grow(self, y, &ysq, &mut arena))
     }
 
     /// Starts an empty incremental fit state for this configuration.
     pub fn begin(&self) -> FitState {
         FitState {
-            builder: self.builder,
+            fitter: *self,
             y: Vec::new(),
             ysq: Vec::new(),
-            nodes: Vec::new(),
-            cache: Vec::new(),
+            arena: Arena::default(),
         }
     }
 
     /// Applies `delta` (possibly empty) to the accumulated state and
-    /// returns the refitted tree — bit-identical to
-    /// [`TreeBuilder::fit`] from scratch on all rows fed so far.
+    /// returns the refitted tree — bit-identical to [`Fitter::full`] on
+    /// all rows fed so far.
     ///
     /// # Panics
     ///
@@ -135,7 +139,7 @@ impl Fitter {
     /// least one row, exactly like [`Dataset::new`]).
     pub fn incremental(&self, state: &mut FitState, delta: &FitDelta) -> RegressionTree {
         assert_eq!(
-            state.builder, self.builder,
+            state.fitter, *self,
             "FitState was begun by a differently-configured Fitter"
         );
         state.apply_delta(delta);
@@ -143,7 +147,7 @@ impl Fitter {
             !state.y.is_empty(),
             "incremental fit needs at least one accumulated row"
         );
-        state.replay()
+        RegressionTree::from_nodes(grow(self, &state.y, &state.ysq, &mut state.arena))
     }
 }
 
@@ -187,22 +191,11 @@ impl FitDelta {
     }
 }
 
-/// Per-node maintained state: the node's rows (ascending dataset
-/// order), its presorted split-entry cache, SSE partials, per-column
-/// aggregates for the search's column-skip bound ([`ColCache`]), and
-/// the cached best candidate (valid while `dirty` is false).
-#[derive(Debug, Default, Clone)]
-struct CacheSlot {
-    rows: Vec<u32>,
-    entries: Vec<Entry>,
-    stats: Stats,
-    cols: Vec<ColCache>,
-    best: Option<Candidate>,
-    dirty: bool,
-}
-
 /// The accumulated state of an incremental fit: all targets fed so
-/// far, the last emitted tree, and a [`CacheSlot`] per node of it.
+/// far, the last emitted tree, and a maintained slot per node of it —
+/// the node's rows, split-entry cache, SSE partials, per-column
+/// aggregates for the search's column-skip bound and cached best
+/// candidate.
 ///
 /// Created by [`Fitter::begin`], advanced by [`Fitter::incremental`].
 /// Rebuilding a `FitState` by replaying the same rows in any batch
@@ -210,14 +203,12 @@ struct CacheSlot {
 /// which is how the daemon's crash recovery restores it from spools.
 #[derive(Debug, Clone)]
 pub struct FitState {
-    builder: TreeBuilder,
+    fitter: Fitter,
     y: Vec<f64>,
     ysq: Vec<f64>,
-    /// Node arena of the last emitted tree (empty before the first
+    /// The last emitted tree and its slots (empty before the first
     /// refit; a single placeholder leaf while bootstrapping).
-    nodes: Vec<Node>,
-    /// Parallel to `nodes`.
-    cache: Vec<CacheSlot>,
+    arena: Arena,
 }
 
 impl FitState {
@@ -243,10 +234,11 @@ impl FitState {
         if delta.rows.is_empty() {
             return;
         }
-        if self.nodes.is_empty() {
-            // Bootstrap: a placeholder root leaf; the first replay
-            // emits the real arena.
-            self.nodes.push(Node {
+        let arena = &mut self.arena;
+        if arena.nodes.is_empty() {
+            // Bootstrap: a placeholder root leaf; the first refit emits
+            // the real arena.
+            arena.nodes.push(Node {
                 mean: 0.0,
                 count: 0,
                 sse: 0.0,
@@ -254,7 +246,7 @@ impl FitState {
                 left: None,
                 right: None,
             });
-            self.cache.push(CacheSlot::default());
+            arena.slots.push(Slot::default());
         }
 
         let new_rows: Vec<u32> = (old_n as u32..self.y.len() as u32).collect();
@@ -272,16 +264,19 @@ impl FitState {
             }
             fresh.sort_unstable_by_key(entry_key);
 
-            let slot = &mut self.cache[idx];
+            let slot = &mut arena.slots[idx];
             merge_entries(&mut slot.entries, &fresh);
-            update_cols(&mut slot.cols, &slot.entries, &fresh, old_n as u32, &self.y);
+            // Maintained slots carry column aggregates (the placeholder
+            // root gets its first ones here; children inherit them).
+            let cols = slot.cols.get_or_insert_with(Vec::new);
+            update_cols(cols, &slot.entries, &fresh, old_n as u32, &self.y);
             for &r in &routed {
                 slot.stats.push(self.y[r as usize]);
             }
             slot.rows.extend_from_slice(&routed);
             slot.dirty = true;
 
-            let nd = &self.nodes[idx];
+            let nd = &arena.nodes[idx];
             if let (Some(split), Some(l), Some(r)) = (nd.split, nd.left, nd.right) {
                 let mut lrows = Vec::new();
                 let mut rrows = Vec::new();
@@ -302,270 +297,6 @@ impl FitState {
             }
         }
     }
-
-    /// Replays the best-first growth loop over the maintained caches:
-    /// clean leaves answer from their cached candidate, dirty leaves
-    /// re-search their merged cache, and an expansion whose winning
-    /// split is unchanged adopts its old children wholesale instead of
-    /// re-partitioning. Emits the new arena (and the cache parallel to
-    /// it) — bit-identical to `grow_on_columns` from scratch.
-    fn replay(&mut self) -> RegressionTree {
-        let n = self.y.len();
-        let builder = self.builder;
-        let y = std::mem::take(&mut self.y);
-        let ysq = std::mem::take(&mut self.ysq);
-        let old_nodes = std::mem::take(&mut self.nodes);
-        let mut old_cache: Vec<Option<CacheSlot>> = std::mem::take(&mut self.cache)
-            .into_iter()
-            .map(Some)
-            .collect();
-
-        // A growable leaf of the replay: its (new) arena index, the
-        // old arena index whose maintained cache backs it (None for
-        // freshly partitioned nodes), and the cache itself.
-        struct Live {
-            node: u32,
-            old: Option<u32>,
-            slot: CacheSlot,
-        }
-
-        let mut memo = RowGainCache::new(n);
-        let take_old = |cache: &mut Vec<Option<CacheSlot>>, i: u32| -> Option<CacheSlot> {
-            cache.get_mut(i as usize).and_then(Option::take)
-        };
-
-        // fuzzylint: allow(panic) — apply_delta bootstraps slot 0
-        // before replay ever runs, and each slot is consumed once
-        let mut root = take_old(&mut old_cache, 0).expect("root cache slot must exist");
-        if root.dirty {
-            root.best = search_flat(
-                &builder,
-                &root.stats,
-                &root.entries,
-                Some(&root.cols),
-                &y,
-                &ysq,
-                &mut memo,
-            );
-            root.dirty = false;
-        }
-        let mut nodes = vec![Node {
-            mean: root.stats.mean(),
-            count: root.rows.len() as u32,
-            sse: root.stats.sse(),
-            split: None,
-            left: None,
-            right: None,
-        }];
-        let mut leaves = vec![Live {
-            node: 0,
-            old: Some(0),
-            slot: root,
-        }];
-        // The retired cache of every finalized arena index (expanded
-        // parents at expansion time, surviving leaves at the end).
-        let mut finished: Vec<Option<CacheSlot>> = Vec::new();
-        let mut goes_left = vec![false; n];
-        let mut order = 0u32;
-
-        while nodes.iter().filter(|nd| nd.is_leaf()).count() < builder.max_leaves {
-            // Same selection rule (and tie-break) as the kernel: the
-            // largest gain, lowest node index on ties. Gains are
-            // bit-equal to scratch, so the pick is too.
-            let Some((leaf_idx, cand)) = leaves
-                .iter()
-                .enumerate()
-                .filter_map(|(i, l)| l.slot.best.map(|c| (i, l.node, c)))
-                .max_by(|(_, na, ca), (_, nb, cb)| ca.gain.total_cmp(&cb.gain).then(nb.cmp(na)))
-                .map(|(i, _, c)| (i, c))
-            else {
-                break;
-            };
-
-            let leaf = leaves.swap_remove(leaf_idx);
-
-            // Unchanged split ⇒ adopt the old children: their caches
-            // already absorbed the delta during routing.
-            let reuse = leaf.old.and_then(|o| {
-                let nd = &old_nodes[o as usize];
-                match (nd.split, nd.left, nd.right) {
-                    (Some(s), Some(l), Some(r))
-                        if s.feature == cand.feature
-                            && s.threshold.to_bits() == cand.threshold.to_bits() =>
-                    {
-                        Some((l, r))
-                    }
-                    _ => None,
-                }
-            });
-            let reused = reuse.and_then(|(lo, ro)| {
-                let ls = take_old(&mut old_cache, lo)?;
-                let rs = take_old(&mut old_cache, ro)?;
-                Some((Some(lo), ls, Some(ro), rs))
-            });
-            let (lold, lslot, rold, rslot) = match reused {
-                Some(r) => r,
-                None => {
-                    // The split changed (or the node is brand new):
-                    // partition rows and entries exactly as the kernel
-                    // does and rebuild both children from scratch.
-                    let zero_left = 0.0 <= cand.threshold;
-                    for &r in &leaf.slot.rows {
-                        goes_left[r as usize] = zero_left;
-                    }
-                    let lo = leaf.slot.entries.partition_point(|e| e.0 < cand.feature);
-                    let hi = lo + leaf.slot.entries[lo..].partition_point(|e| e.0 == cand.feature);
-                    for &(_, v, r) in &leaf.slot.entries[lo..hi] {
-                        goes_left[r as usize] = v <= cand.threshold;
-                    }
-                    let mut left_rows = Vec::new();
-                    let mut right_rows = Vec::new();
-                    for &r in &leaf.slot.rows {
-                        if goes_left[r as usize] {
-                            left_rows.push(r);
-                        } else {
-                            right_rows.push(r);
-                        }
-                    }
-                    debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-                    let mut le = Vec::with_capacity(leaf.slot.entries.len());
-                    let mut re = Vec::with_capacity(leaf.slot.entries.len());
-                    for &e in &leaf.slot.entries {
-                        if goes_left[e.2 as usize] {
-                            le.push(e);
-                        } else {
-                            re.push(e);
-                        }
-                    }
-                    let ls = stats_of(&y, &left_rows);
-                    let rs = stats_of(&y, &right_rows);
-                    let lc = build_cols(&le, &y);
-                    let rc = build_cols(&re, &y);
-                    (
-                        None,
-                        CacheSlot {
-                            rows: left_rows,
-                            entries: le,
-                            stats: ls,
-                            cols: lc,
-                            best: None,
-                            dirty: true,
-                        },
-                        None,
-                        CacheSlot {
-                            rows: right_rows,
-                            entries: re,
-                            stats: rs,
-                            cols: rc,
-                            best: None,
-                            dirty: true,
-                        },
-                    )
-                }
-            };
-
-            let li = nodes.len() as u32;
-            let ri = li + 1;
-            nodes.push(Node {
-                mean: lslot.stats.mean(),
-                count: lslot.rows.len() as u32,
-                sse: lslot.stats.sse(),
-                split: None,
-                left: None,
-                right: None,
-            });
-            nodes.push(Node {
-                mean: rslot.stats.mean(),
-                count: rslot.rows.len() as u32,
-                sse: rslot.stats.sse(),
-                split: None,
-                left: None,
-                right: None,
-            });
-            let parent = &mut nodes[leaf.node as usize];
-            parent.split = Some(Split {
-                feature: cand.feature,
-                threshold: cand.threshold,
-                order,
-            });
-            parent.left = Some(li);
-            parent.right = Some(ri);
-            order += 1;
-            store(&mut finished, leaf.node, leaf.slot);
-
-            for (node, old, mut slot) in [(li, lold, lslot), (ri, rold, rslot)] {
-                if slot.dirty {
-                    slot.best = search_flat(
-                        &builder,
-                        &slot.stats,
-                        &slot.entries,
-                        Some(&slot.cols),
-                        &y,
-                        &ysq,
-                        &mut memo,
-                    );
-                    slot.dirty = false;
-                }
-                leaves.push(Live { node, old, slot });
-            }
-        }
-
-        for l in leaves {
-            store(&mut finished, l.node, l.slot);
-        }
-        self.cache = finished
-            .into_iter()
-            // fuzzylint: allow(panic) — every arena index is either an
-            // expanded parent (stored at expansion) or a surviving
-            // leaf (stored in the drain above)
-            .map(|s| s.expect("replay must fill every cache slot"))
-            .collect();
-        self.y = y;
-        self.ysq = ysq;
-        self.nodes = nodes.clone();
-        RegressionTree::from_nodes(nodes)
-    }
-}
-
-/// Stores `slot` at arena index `node`, growing the table as needed.
-fn store(finished: &mut Vec<Option<CacheSlot>>, node: u32, slot: CacheSlot) {
-    let i = node as usize;
-    if finished.len() <= i {
-        finished.resize_with(i + 1, || None);
-    }
-    finished[i] = Some(slot);
-}
-
-/// Builds the per-column aggregates of a node from its (presorted)
-/// entry cache in one pass: column group totals plus the summed SSE of
-/// the finest per-distinct-value partition — the inputs of the
-/// search's column-skip bound (see [`ColCache`]).
-fn build_cols(entries: &[Entry], y: &[f64]) -> Vec<ColCache> {
-    let mut cols: Vec<ColCache> = Vec::new();
-    let mut i = 0;
-    while i < entries.len() {
-        let feature = entries[i].0;
-        let mut group = Stats::default();
-        let mut finest = 0.0;
-        while i < entries.len() && entries[i].0 == feature {
-            let vbits = entries[i].1.to_bits();
-            let mut g = Stats::default();
-            while i < entries.len() && entries[i].0 == feature && entries[i].1.to_bits() == vbits {
-                g.push(y[entries[i].2 as usize]);
-                i += 1;
-            }
-            group.n += g.n;
-            group.sum += g.sum;
-            group.sumsq += g.sumsq;
-            finest += g.sse();
-        }
-        cols.push(ColCache {
-            feature,
-            group,
-            finest,
-        });
-    }
-    cols
 }
 
 /// Folds a node's routed delta entries (`fresh`, sorted by the total
@@ -579,7 +310,7 @@ fn build_cols(entries: &[Entry], y: &[f64]) -> Vec<ColCache> {
 ///
 /// The aggregates feed a *comparison bound* only, never an emitted
 /// float, so the accumulation order here (incremental folds vs. a
-/// scratch [`build_cols`] pass) affecting the low bits is harmless —
+/// scratch aggregate build) affecting the low bits is harmless —
 /// the search's skip margin dominates it.
 fn update_cols(
     cols: &mut Vec<ColCache>,
@@ -698,6 +429,7 @@ fn merge_entries(old: &mut Vec<Entry>, fresh: &[Entry]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
 
     fn sv(pairs: &[(u32, f64)]) -> SparseVec {
         SparseVec::from_pairs(pairs.iter().copied())
@@ -732,33 +464,8 @@ mod tests {
         (rows, ys)
     }
 
-    fn assert_trees_bit_identical(a: &RegressionTree, b: &RegressionTree) {
-        let (an, bn) = (a.nodes(), b.nodes());
-        assert_eq!(an.len(), bn.len(), "arena sizes differ");
-        for (i, (x, z)) in an.iter().zip(bn).enumerate() {
-            assert_eq!(x.mean.to_bits(), z.mean.to_bits(), "node {i} mean");
-            assert_eq!(x.sse.to_bits(), z.sse.to_bits(), "node {i} sse");
-            assert_eq!(x.count, z.count, "node {i} count");
-            assert_eq!(x.left, z.left, "node {i} left");
-            assert_eq!(x.right, z.right, "node {i} right");
-            match (x.split, z.split) {
-                (None, None) => {}
-                (Some(s), Some(t)) => {
-                    assert_eq!(s.feature, t.feature, "node {i} split feature");
-                    assert_eq!(
-                        s.threshold.to_bits(),
-                        t.threshold.to_bits(),
-                        "node {i} split threshold"
-                    );
-                    assert_eq!(s.order, t.order, "node {i} split order");
-                }
-                other => panic!("node {i} split mismatch: {other:?}"),
-            }
-        }
-    }
-
     /// Feeds `rows` in the given batch sizes and checks the tree after
-    /// every refit against a scratch fit of the prefix.
+    /// every refit against the oracle's fit of the prefix.
     fn check_schedule(fitter: &Fitter, rows: &[SparseVec], ys: &[f64], batches: &[usize]) {
         let mut state = fitter.begin();
         let mut fed = 0usize;
@@ -767,8 +474,8 @@ mod tests {
             let delta = FitDelta::new(rows[fed..hi].to_vec(), ys[fed..hi].to_vec());
             fed = hi;
             let tree = fitter.incremental(&mut state, &delta);
-            let scratch = fitter.full(&Dataset::new(rows[..fed].to_vec(), ys[..fed].to_vec()));
-            assert_trees_bit_identical(&tree, &scratch);
+            let prefix = Dataset::new(rows[..fed].to_vec(), ys[..fed].to_vec());
+            oracle::assert_tree_matches(&tree, &prefix, fitter.max_leaves, fitter.min_leaf);
         }
     }
 
@@ -793,7 +500,7 @@ mod tests {
         let mut state = fitter.begin();
         let t1 = fitter.incremental(&mut state, &FitDelta::new(rows, ys));
         let t2 = fitter.incremental(&mut state, &FitDelta::default());
-        assert_trees_bit_identical(&t1, &t2);
+        oracle::assert_arena_bits(t2.nodes(), t1.nodes());
     }
 
     #[test]
@@ -810,19 +517,11 @@ mod tests {
     }
 
     #[test]
-    fn full_matches_tree_builder_oracle() {
-        // The API-migration pin: `Fitter::full` must be the old
-        // cached/columnar `TreeBuilder::fit`, bit for bit.
+    fn full_matches_oracle() {
         let (rows, ys) = synth_rows(90, 200, 10);
         let ds = Dataset::new(rows, ys);
-        let a = Fitter::new().max_leaves(20).min_leaf(2).full(&ds);
-        let b = TreeBuilder::new().max_leaves(20).min_leaf(2).fit(&ds);
-        assert_trees_bit_identical(&a, &b);
-        let c = Fitter::new()
-            .max_leaves(20)
-            .min_leaf(2)
-            .full_on_columns(ds.columnar());
-        assert_trees_bit_identical(&a, &c);
+        let tree = Fitter::new().max_leaves(20).min_leaf(2).full(&ds);
+        oracle::assert_tree_matches(&tree, &ds, 20, 2);
     }
 
     #[test]
@@ -852,9 +551,8 @@ mod tests {
             &mut b,
             &FitDelta::new(rows[90..].to_vec(), ys[90..].to_vec()),
         );
-        assert_trees_bit_identical(&ta, &tb);
-        let scratch = fitter.full(&Dataset::new(rows, ys));
-        assert_trees_bit_identical(&ta, &scratch);
+        oracle::assert_arena_bits(ta.nodes(), tb.nodes());
+        oracle::assert_tree_matches(&ta, &Dataset::new(rows, ys), 24, 1);
     }
 
     #[test]

@@ -10,29 +10,30 @@
 //! the theoretical upper bound on predicting CPI from EIPs alone.
 //!
 //! * [`dataset`] — the (EIPV, CPI) sample collection.
-//! * [`columnar`] — per-feature contiguous storage + batch fit kernels.
+//! * [`columnar`] — per-feature contiguous storage, the layout every fit
+//!   cuts its split-entry caches from.
 //! * [`tree`] — the fitted tree with nested `T_k` sub-trees.
-//! * [`builder`] — variance-minimizing best-first growth.
+//! * [`incremental`] — [`Fitter`], the one fit entry point: scratch fits
+//!   and delta-maintained incremental refits, both grown by one
+//!   variance-minimizing best-first loop.
 //! * [`crossval`] — 10-fold CV, RE curves, `k_opt` selection.
 //! * [`analysis`] — the one-call [`analysis::PredictabilityReport`].
 //!
 //! # Kernel / oracle policy (DESIGN.md D13)
 //!
-//! The hot paths run batch kernels over the columnar layout by default;
-//! each kernel has a scalar reference implementation that computes the
-//! same floating-point operations in the same order, so results are
-//! bit-identical — property-tested here and re-proven in CI by building
-//! the whole test suite with `--features scalar-ref`, which swaps the
-//! scalar paths back in behind the public entry points.
+//! Each job has one production implementation: the growth loop and its
+//! batch split search, the batch SSE evaluation. Each is pinned bit for
+//! bit by one oracle that lives in test code
+//! (`tests/support/oracle.rs`): a literal reading of the same
+//! floating-point operations in the same order.
 //!
 //! # Example: the paper's Table 1 / Figure 1 worked example
 //!
 //! ```
-//! use fuzzyphase_regtree::dataset::Dataset;
-//! use fuzzyphase_regtree::builder::TreeBuilder;
+//! use fuzzyphase_regtree::{Dataset, Fitter};
 //!
 //! let ds = Dataset::paper_example();
-//! let tree = TreeBuilder::new().max_leaves(4).fit(&ds);
+//! let tree = Fitter::new().max_leaves(4).full(&ds);
 //! // Root splits on EIP0 at count 20, exactly like Figure 1.
 //! assert_eq!(tree.root().split.unwrap().feature, 0);
 //! assert_eq!(tree.root().split.unwrap().threshold, 20.0);
@@ -41,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod builder;
 pub mod columnar;
 pub mod crossval;
 pub mod dataset;
@@ -49,12 +49,18 @@ pub mod incremental;
 mod kernel;
 pub mod tree;
 
+// The test-side oracles, shared with the integration tests; they name
+// this crate by its package name.
+#[cfg(test)]
+extern crate self as fuzzyphase_regtree;
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
+
 pub use analysis::{analyze, AnalysisOptions, PredictabilityReport};
-pub use builder::TreeBuilder;
 pub use columnar::ColumnarDataset;
 pub use crossval::{
-    cross_validate, cross_validate_ensemble, eval_sse_batch, eval_sse_scalar, CrossValidation,
-    ReCurve,
+    cross_validate, cross_validate_ensemble, eval_sse_batch, CrossValidation, ReCurve,
 };
 pub use dataset::Dataset;
 pub use incremental::{FitDelta, FitState, Fitter};

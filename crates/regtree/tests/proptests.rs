@@ -3,11 +3,13 @@
 use std::collections::BTreeMap;
 
 use fuzzyphase_regtree::{
-    cross_validate, eval_sse_batch, eval_sse_scalar, ColumnarDataset, CrossValidation, Dataset,
-    FitDelta, Fitter, TreeBuilder,
+    cross_validate, eval_sse_batch, ColumnarDataset, CrossValidation, Dataset, FitDelta, Fitter,
 };
 use fuzzyphase_stats::SparseVec;
 use proptest::prelude::*;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     (20usize..80).prop_flat_map(|n| {
@@ -26,7 +28,7 @@ proptest! {
     /// a useless split).
     #[test]
     fn splits_strictly_reduce_sse(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().max_leaves(16).fit(&ds);
+        let tree = Fitter::new().max_leaves(16).full(&ds);
         for k in 2..=tree.num_splits() + 1 {
             prop_assert!(
                 tree.training_sse_k(k) < tree.training_sse_k(k - 1) + 1e-9,
@@ -39,7 +41,7 @@ proptest! {
     /// tree's training MSE is the smallest of all k.
     #[test]
     fn full_tree_is_best_on_training(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().max_leaves(12).fit(&ds);
+        let tree = Fitter::new().max_leaves(12).full(&ds);
         let mse = |k: usize| -> f64 {
             (0..ds.len())
                 .map(|i| {
@@ -74,18 +76,18 @@ proptest! {
         }
     }
 
-    /// The presorted split-entry cache is invisible: [`TreeBuilder::fit`]
-    /// grows exactly the tree the per-node re-sorting reference
-    /// ([`TreeBuilder::fit_rescan`]) grows, on arbitrary sparse data and
+    /// The presorted split-entry cache and the batch search are
+    /// invisible: [`Fitter::full`] grows, bit for bit, the tree the
+    /// per-node re-sorting oracle grows, on arbitrary sparse data and
     /// across leaf caps and leaf minima.
     #[test]
-    fn cached_split_search_matches_rescan(
+    fn full_fit_matches_oracle(
         ds in dataset_strategy(),
         cap in 2usize..20,
         min_leaf in 1usize..4,
     ) {
-        let b = TreeBuilder::new().max_leaves(cap).min_leaf(min_leaf);
-        prop_assert_eq!(b.fit(&ds), b.fit_rescan(&ds));
+        let tree = Fitter::new().max_leaves(cap).min_leaf(min_leaf).full(&ds);
+        oracle::assert_tree_matches(&tree, &ds, cap, min_leaf);
     }
 
     /// Fold-parallel cross-validation returns the bit-identical curve to
@@ -151,14 +153,14 @@ proptest! {
         folds in 2usize..6,
         cap in 2usize..16,
     ) {
-        let tree = TreeBuilder::new().max_leaves(cap).fit(&ds);
+        let tree = Fitter::new().max_leaves(cap).full(&ds);
         let k_max = tree.num_splits() + 1;
         let mut merged_batch = vec![0.0f64; k_max];
         let mut merged_scalar = vec![0.0f64; k_max];
         for fold in 0..folds {
             let test: Vec<usize> = (0..ds.len()).filter(|i| i % folds == fold).collect();
             let batch = eval_sse_batch(&tree, &ds, &test, k_max);
-            let scalar = eval_sse_scalar(&tree, &ds, &test, k_max);
+            let scalar = oracle::eval_sse_scalar(&tree, &ds, &test, k_max);
             for k in 0..k_max {
                 prop_assert_eq!(batch[k].to_bits(), scalar[k].to_bits(),
                     "fold {} k {}", fold, k);
@@ -174,9 +176,8 @@ proptest! {
     /// Delta-maintained incremental refits are bit-identical to the
     /// scratch oracle: feeding the rows through an arbitrary schedule
     /// of frame-batch deltas — including empty batches and single-row
-    /// deltas — yields, after every refit, exactly the tree
-    /// [`TreeBuilder::fit`] grows from scratch on the accumulated
-    /// prefix (DESIGN.md D15).
+    /// deltas — yields, after every refit, exactly the tree the oracle
+    /// grows from scratch on the accumulated prefix (DESIGN.md D15).
     #[test]
     fn incremental_refit_matches_scratch_oracle(
         ds in dataset_strategy(),
@@ -189,7 +190,6 @@ proptest! {
         batches[0] = batches[0].max(1);
 
         let fitter = Fitter::new().max_leaves(cap).min_leaf(min_leaf);
-        let oracle = TreeBuilder::new().max_leaves(cap).min_leaf(min_leaf);
         let mut state = fitter.begin();
         let mut fed = 0usize;
         for b in batches {
@@ -200,15 +200,8 @@ proptest! {
             );
             fed = hi;
             let tree = fitter.incremental(&mut state, &delta);
-            let scratch = oracle.fit(&Dataset::new(
-                ds.rows()[..fed].to_vec(),
-                ds.targets()[..fed].to_vec(),
-            ));
-            prop_assert_eq!(&tree, &scratch, "diverged at {} rows", fed);
-            for (a, b) in tree.nodes().iter().zip(scratch.nodes()) {
-                prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-                prop_assert_eq!(a.sse.to_bits(), b.sse.to_bits());
-            }
+            let prefix = Dataset::new(ds.rows()[..fed].to_vec(), ds.targets()[..fed].to_vec());
+            oracle::assert_tree_matches(&tree, &prefix, cap, min_leaf);
         }
     }
 
@@ -216,7 +209,7 @@ proptest! {
     /// within the training-target range.
     #[test]
     fn predictions_bounded_by_targets(ds in dataset_strategy()) {
-        let tree = TreeBuilder::new().fit(&ds);
+        let tree = Fitter::new().full(&ds);
         let lo = ds.targets().iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ds.targets().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for i in 0..ds.len() {

@@ -152,9 +152,10 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 /// CRC-32 over `parts` concatenated (kind byte, then payload).
 ///
 /// Batch kernel: eight input bytes per iteration via the slicing-by-8
-/// tables. Identical output to [`crc32_scalar`] for every input (the
+/// tables. Identical output to a byte-at-a-time CRC for every input (the
 /// tables are an algebraic regrouping of the same polynomial division),
-/// which the tests assert alongside the standard check value.
+/// which `tests::crc32_slicing_matches_scalar_oracle` asserts alongside
+/// the standard check value.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
@@ -172,18 +173,6 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
                 ^ CRC_TABLES[0][(hi >> 24) as usize];
         }
         for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-    }
-    !crc
-}
-
-/// Byte-at-a-time CRC-32 reference — the oracle the slicing-by-8 kernel
-/// in [`crc32`] is tested against.
-pub fn crc32_scalar(parts: &[&[u8]]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for part in parts {
-        for &b in *part {
             crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
         }
     }
@@ -1040,13 +1029,25 @@ mod tests {
             .collect()
     }
 
+    /// Byte-at-a-time CRC-32 — the oracle the slicing-by-8 [`crc32`]
+    /// is tested against.
+    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for part in parts {
+            for &b in *part {
+                crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_answer() {
         // The standard check value for CRC-32/IEEE.
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b""]), 0);
-        assert_eq!(crc32_scalar(&[b"123456789"]), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(&[b"123456789"]), 0xCBF4_3926);
     }
 
     #[test]
@@ -1058,10 +1059,10 @@ mod tests {
             .collect();
         for len in 0..data.len() {
             let buf = &data[..len];
-            assert_eq!(crc32(&[buf]), crc32_scalar(&[buf]), "len {len}");
+            assert_eq!(crc32(&[buf]), crc32_bytewise(&[buf]), "len {len}");
             for cut in 0..len {
                 let parts = [&buf[..cut], &buf[cut..]];
-                assert_eq!(crc32(&parts), crc32_scalar(&[buf]), "len {len} cut {cut}");
+                assert_eq!(crc32(&parts), crc32_bytewise(&[buf]), "len {len} cut {cut}");
             }
         }
     }

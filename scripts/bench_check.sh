@@ -6,15 +6,14 @@
 #
 # Hard failure (exit 1) on a regression beyond THRESHOLD_PCT (default
 # 25%) in the metrics stable enough to gate on: the daemon's frame-ack
-# p99 and the regression-tree kernel medians (fit_cached, fit_columnar,
-# sse_batch, cv_parallel, diff_fit, fit_incremental). A gated stage
-# missing from the FRESH report
-# is also a hard failure — a silently dropped stage must not pass the
-# gate; a stage missing only from the committed baseline is skipped
-# (the baseline predates the stage).
-# Noisier metrics — aggregate throughput, resume latency, the rescan
-# path — only emit GitHub `::warning::` annotations, so a noisy runner
-# cannot turn the lane red on its own.
+# p99 and the regression-tree kernel medians (fit_cached, sse_batch,
+# cv_parallel, diff_fit, fit_incremental). A gated stage missing from
+# the FRESH report is also a hard failure — a silently dropped stage
+# must not pass the gate; a stage missing only from the committed
+# baseline is skipped (the baseline predates the stage).
+# Noisier metrics — aggregate throughput, resume latency, serial CV and
+# scratch-per-prefix refits — only emit GitHub `::warning::`
+# annotations, so a noisy runner cannot turn the lane red on its own.
 #
 # A missing baseline (file not committed at HEAD) skips that file with
 # a note rather than failing: the first run on a new branch has nothing
@@ -79,8 +78,6 @@ else:
     hard = [
         ("fit_cached median_ms", stage_median(fresh, "fit_cached"),
          stage_median(base, "fit_cached"), False),
-        ("fit_columnar median_ms", stage_median(fresh, "fit_columnar"),
-         stage_median(base, "fit_columnar"), False),
         ("sse_batch median_ms", stage_median(fresh, "sse_batch"),
          stage_median(base, "sse_batch"), False),
         ("cv_parallel median_ms", stage_median(fresh, "cv_parallel"),
@@ -91,12 +88,6 @@ else:
          stage_median(base, "fit_incremental"), False),
     ]
     soft = [
-        ("fit_rescan median_ms", stage_median(fresh, "fit_rescan"),
-         stage_median(base, "fit_rescan"), False),
-        ("fit_scalar median_ms", stage_median(fresh, "fit_scalar"),
-         stage_median(base, "fit_scalar"), False),
-        ("sse_scalar median_ms", stage_median(fresh, "sse_scalar"),
-         stage_median(base, "sse_scalar"), False),
         ("cv_serial median_ms", stage_median(fresh, "cv_serial"),
          stage_median(base, "cv_serial"), False),
         ("fit_stream_scratch median_ms", stage_median(fresh, "fit_stream_scratch"),
