@@ -27,7 +27,7 @@ use crate::protocol::{
 use crossbeam::channel::{unbounded, Receiver};
 use fuzzyphase_profiler::trace::write_samples_v2;
 use fuzzyphase_profiler::Sample;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -60,6 +60,8 @@ impl ServeClient {
     /// Connects and starts the reply-reader thread.
     pub fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Every frame leaves in one write; Nagle could only hold it.
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         let (tx, rx) = unbounded();
         let paused = Arc::new(AtomicBool::new(false));
@@ -136,8 +138,7 @@ impl ServeClient {
     /// Sends a control request.
     pub fn send_control(&mut self, ctl: &ClientControl) -> io::Result<()> {
         let payload = encode_control(ctl)?;
-        write_frame(&mut self.stream, FRAME_CONTROL, &payload)?;
-        self.stream.flush()
+        write_frame(&mut self.stream, FRAME_CONTROL, &payload)
     }
 
     /// Waits (bounded) for the server's `Welcome` greeting. `None`
@@ -251,8 +252,7 @@ impl ServeClient {
             std::thread::sleep(Duration::from_millis(1));
         }
         let payload = write_samples_v2(batch);
-        write_frame(&mut self.stream, FRAME_SAMPLES, &payload)?;
-        self.stream.flush()
+        write_frame(&mut self.stream, FRAME_SAMPLES, &payload)
     }
 
     /// Streams a whole trace in `batch`-sample frames (the trailing

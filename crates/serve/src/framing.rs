@@ -25,7 +25,12 @@ pub const FRAME_SAMPLES: u8 = 2;
 /// Header size: kind byte + u32 length.
 pub const HEADER_LEN: usize = 5;
 
-/// Writes one frame (no flush).
+/// Writes one frame (no flush) as a single `write_all` of header and
+/// payload together.
+///
+/// One write per frame is part of the wire contract (DESIGN.md D9): a
+/// header sent on its own is a small segment, and Nagle's algorithm
+/// would hold the payload behind it until the peer's delayed ACK fires.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<()> {
     if payload.len() > u32::MAX as usize {
         return Err(io::Error::new(
@@ -33,11 +38,11 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<
             "frame payload exceeds u32 length prefix",
         ));
     }
-    let mut header = BytesMut::with_capacity(HEADER_LEN);
-    header.put_u8(kind);
-    header.put_u32(payload.len() as u32);
-    w.write_all(&header)?;
-    w.write_all(payload)
+    let mut frame = BytesMut::with_capacity(HEADER_LEN + payload.len());
+    frame.put_u8(kind);
+    frame.put_u32(payload.len() as u32);
+    frame.put_slice(payload);
+    w.write_all(&frame)
 }
 
 /// Reads one frame, enforcing `max_len` on the payload.
@@ -131,6 +136,60 @@ mod tests {
         let mut r = &buf[..];
         let err = read_frame(&mut r, 99).expect_err("oversize");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Records the length of every `write` call; accepts at most `cap`
+    /// bytes per call.
+    struct Recorder {
+        cap: usize,
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Recorder {
+        fn new(cap: usize) -> Self {
+            Self {
+                cap,
+                bytes: Vec::new(),
+                writes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.writes.push(n);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_call_per_frame() {
+        let payload = vec![0xA5u8; 4000];
+        let mut sink = Recorder::new(usize::MAX);
+        write_frame(&mut sink, FRAME_SAMPLES, &payload).expect("write");
+        write_frame(&mut sink, FRAME_CONTROL, b"").expect("write");
+        assert_eq!(sink.writes, vec![HEADER_LEN + payload.len(), HEADER_LEN]);
+    }
+
+    #[test]
+    fn partial_writes_still_produce_the_whole_frame() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1001).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, FRAME_SAMPLES, &payload).expect("write");
+        let mut sink = Recorder::new(3);
+        write_frame(&mut sink, FRAME_SAMPLES, &payload).expect("write");
+        assert_eq!(sink.bytes, whole);
+        assert_eq!(sink.writes.len(), whole.len().div_ceil(3));
+        let mut r = &sink.bytes[..];
+        let (k, p) = read_frame(&mut r, 2048).expect("read").expect("frame");
+        assert_eq!((k, p), (FRAME_SAMPLES, payload));
     }
 
     #[test]

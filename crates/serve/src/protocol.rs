@@ -237,12 +237,12 @@ pub enum ServerMsg {
     Bye,
 }
 
-/// Serializes `msg` as one JSON line onto `w` (no flush — callers batch
-/// and flush at protocol boundaries).
+/// Serializes `msg` as one JSON line and puts it on `w` with a single
+/// `write_all` (no flush): one reply, one write (DESIGN.md D9).
 pub fn write_msg<W: Write>(w: &mut W, msg: &ServerMsg) -> io::Result<()> {
-    let line = serde_json::to_string(msg).map_err(io::Error::other)?;
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")
+    let mut line = serde_json::to_string(msg).map_err(io::Error::other)?;
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// Reads one JSON line from `r` and parses it as a [`ServerMsg`].
@@ -438,6 +438,25 @@ mod tests {
         let mut buf = Vec::new();
         write_msg(&mut buf, &ServerMsg::Pause).expect("write");
         assert_eq!(std::str::from_utf8(&buf).expect("utf8"), "\"Pause\"\n");
+    }
+
+    #[test]
+    fn each_reply_is_one_write_call() {
+        /// Records the length of every `write` call.
+        struct Calls(Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Calls(Vec::new());
+        write_msg(&mut sink, &ServerMsg::Pause).expect("write");
+        write_msg(&mut sink, &ServerMsg::Bye).expect("write");
+        assert_eq!(sink.0, vec!["\"Pause\"\n".len(), "\"Bye\"\n".len()]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! (drains the bounded ingest queue, updates the [`SessionEngine`],
 //! submits fit snapshots to the pool). Replies from any thread go
 //! through one mutex-guarded writer per connection, so JSON lines never
-//! interleave.
+//! interleave. Every connection is `TCP_NODELAY` and every reply leaves
+//! in one write (DESIGN.md D9).
 //!
 //! Backpressure is a contract, not advice: the ingest queue is a
 //! bounded channel of `queue_cap` frames. When the reader finds it
@@ -40,7 +41,7 @@ use fuzzyphase_profiler::EipvData;
 use fuzzyphase_regtree::{FitDelta, FitState, Fitter, RegressionTree};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -238,7 +239,7 @@ struct SessionShared {
     /// Server-assigned id; 0 until `Hello` registers the session.
     id: AtomicU64,
     stream: TcpStream,
-    writer: Mutex<BufWriter<TcpStream>>,
+    writer: Mutex<TcpStream>,
     paused: AtomicBool,
     dead: AtomicBool,
     expired: AtomicBool,
@@ -257,7 +258,7 @@ impl SessionShared {
         Self {
             id: AtomicU64::new(0),
             stream,
-            writer: Mutex::new(BufWriter::new(writer)),
+            writer: Mutex::new(writer),
             paused: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             expired: AtomicBool::new(false),
@@ -269,7 +270,7 @@ impl SessionShared {
         }
     }
 
-    /// Writes one JSON line and flushes; marks the session dead on I/O
+    /// Writes one JSON line; marks the session dead on I/O
     /// failure so every thread stops touching the socket. The dead
     /// latch is set *after* the writer guard is released: it is a
     /// stop-touching-the-socket signal with no ordering relationship to
@@ -279,8 +280,8 @@ impl SessionShared {
         let r = {
             let mut w = self.writer.lock();
             // fuzzylint: allow(guard_blocking) — the writer lock exists to
-            // serialize whole-frame wire writes; flushing under it is the point
-            write_msg(&mut *w, msg).and_then(|()| w.flush())
+            // serialize whole-frame wire writes; writing under it is the point
+            write_msg(&mut *w, msg)
         };
         if r.is_err() {
             self.dead.store(true, Ordering::SeqCst);
@@ -300,7 +301,7 @@ impl SessionShared {
             self.paused.store(true, Ordering::SeqCst);
             // fuzzylint: allow(guard_blocking) — flag and wire must leave as
             // one step under the writer lock (the PR-6 lost-wakeup fix)
-            write_msg(&mut *w, &ServerMsg::Pause).and_then(|()| w.flush())
+            write_msg(&mut *w, &ServerMsg::Pause)
         };
         if r.is_err() {
             self.dead.store(true, Ordering::SeqCst);
@@ -318,7 +319,7 @@ impl SessionShared {
             }
             // fuzzylint: allow(guard_blocking) — flag and wire must leave as
             // one step under the writer lock (the PR-6 lost-wakeup fix)
-            write_msg(&mut *w, &ServerMsg::Resume).and_then(|()| w.flush())
+            write_msg(&mut *w, &ServerMsg::Resume)
         };
         if r.is_err() {
             self.dead.store(true, Ordering::SeqCst);
@@ -603,16 +604,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
 }
 
 /// Best-effort refusal: one `Error` line, one `Bye`, close.
-fn refuse(stream: TcpStream, why: &str) {
-    let mut w = BufWriter::new(stream);
+fn refuse(mut stream: TcpStream, why: &str) {
+    let _ = stream.set_nodelay(true);
     let _ = write_msg(
-        &mut w,
+        &mut stream,
         &ServerMsg::Error {
             message: why.to_string(),
         },
     );
-    let _ = write_msg(&mut w, &ServerMsg::Bye);
-    let _ = w.flush();
+    let _ = write_msg(&mut stream, &ServerMsg::Bye);
 }
 
 fn sweep_loop(shared: Arc<Shared>) {
@@ -651,6 +651,10 @@ struct OpenedSession {
 
 /// Reader side of one connection: frames in, limits, backpressure.
 fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
+    // The option lives on the socket, so the cloned halves share it.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let (writer_half, mut reader_half) = match (stream.try_clone(), stream.try_clone()) {
         (Ok(w), Ok(r)) => (w, r),
         _ => return,

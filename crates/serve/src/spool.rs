@@ -277,12 +277,11 @@ fn list_session_files(dir: &Path) -> io::Result<(Vec<(u64, PathBuf)>, Vec<(u64, 
     Ok((segments, snapshots))
 }
 
-fn fsync_dir(dir: &Path) {
-    // Directory fsync makes renames/creates durable; best-effort where
-    // the platform does not support opening directories.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsyncs a directory, which is what makes the creates, renames and
+/// removals inside it durable. A failure is returned, never swallowed:
+/// a caller that ignored it would treat an undurable step as durable.
+fn fsync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 // ---------------------------------------------------------- spool writer
@@ -311,8 +310,8 @@ impl SessionSpool {
         let dir = cfg.dir.join(&meta.token);
         std::fs::create_dir_all(&dir)?;
         let (file, seg_len) = open_segment_file(&dir, &meta, 0)?;
-        fsync_dir(&dir);
-        fsync_dir(&cfg.dir);
+        fsync_dir(&dir)?;
+        fsync_dir(&cfg.dir)?;
         Ok(Self {
             dir,
             meta,
@@ -359,7 +358,7 @@ impl SessionSpool {
             None => {
                 std::fs::create_dir_all(&dir)?;
                 let (file, seg_len) = open_segment_file(&dir, &recovered.state.meta, 0)?;
-                fsync_dir(&dir);
+                fsync_dir(&dir)?;
                 Ok(Self {
                     dir,
                     meta: recovered.state.meta.clone(),
@@ -447,7 +446,7 @@ impl SessionSpool {
             self.sync()?;
             let next = self.seg_index + 1;
             self.open_segment(next)?;
-            fsync_dir(&self.dir);
+            fsync_dir(&self.dir)?;
             return Ok(true);
         }
         Ok(false)
@@ -713,7 +712,7 @@ pub fn write_snapshot(dir: &Path, state: &ReplayState) -> io::Result<PathBuf> {
     }
     let path = dir.join(snapshot_name(state.frames));
     std::fs::rename(&tmp, &path)?;
-    fsync_dir(dir);
+    fsync_dir(dir)?;
     Ok(path)
 }
 
@@ -988,7 +987,7 @@ pub fn compact_session(dir: &Path) -> io::Result<Option<CompactionOutcome>> {
             let _ = std::fs::remove_file(path);
         }
     }
-    fsync_dir(dir);
+    fsync_dir(dir)?;
     Ok(Some(CompactionOutcome {
         segments_removed: removed,
         snapshot_frames: state.frames,
@@ -1278,5 +1277,16 @@ mod tests {
         let err = recover_session_dir(&root.join("sess-6"), "sess-other").expect_err("mismatch");
         assert!(err.to_string().contains("belongs to session"), "{err}");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fsync_dir_reports_failure() {
+        let root = test_dir("fsync-dir");
+        fsync_dir(&root).expect("existing directory");
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(
+            fsync_dir(&root).is_err(),
+            "missing directory must be an error"
+        );
     }
 }

@@ -233,6 +233,43 @@ fn backpressure_keeps_the_ingest_queue_bounded() {
     server.shutdown();
 }
 
+/// The wire contract of DESIGN.md D9 (one write per frame, every
+/// socket `TCP_NODELAY`): a frame's `Progress` ack comes back in well
+/// under a millisecond of daemon work plus loopback, not after the
+/// receiver's delayed-ACK timer. Ping-pong keeps exactly one frame in
+/// flight, which is the pattern a header-then-payload write or Nagle
+/// would stall on every round.
+#[test]
+fn frame_acks_do_not_wait_for_delayed_acks() {
+    const ROUNDS: usize = 50;
+    const BATCH: usize = 500;
+    let server = Server::start(tiny_server_cfg()).expect("start");
+    let addr = server.local_addr().to_string();
+    let trace = synth_trace((ROUNDS * BATCH) as u64);
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    client.hello("ping-pong", 100, 0).expect("hello");
+
+    let mut rtts = Vec::with_capacity(ROUNDS);
+    for batch in trace.chunks(BATCH) {
+        let sent = std::time::Instant::now();
+        client.send_samples(batch).expect("send");
+        client
+            .recv_until(|m| matches!(m, ServerMsg::Progress { .. }))
+            .expect("progress");
+        rtts.push(sent.elapsed());
+    }
+    rtts.sort();
+    let median = rtts[ROUNDS / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median frame-ack round trip {median:?} (sorted: {rtts:?})"
+    );
+    client.finish().expect("finish");
+    client.wait_report().expect("report");
+    client.close();
+    server.shutdown();
+}
+
 /// Graceful shutdown: draining refuses new connections with an `Error`
 /// line while the in-flight session still completes and reports.
 #[test]
