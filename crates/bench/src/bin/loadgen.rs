@@ -7,7 +7,7 @@
 //!     [--addr HOST:PORT] [--sessions N] [--samples N] [--batch N] \
 //!     [--spv N] [--refit-every N] [--out BENCH_serve.json] [--shutdown] \
 //!     [--restart-after N] [--spool-dir DIR] \
-//!     [--phase first|resume] [--tokens FILE] [--shards LIST]
+//!     [--phase first|resume] [--tokens FILE]
 //! ```
 //!
 //! With `--addr` it drives an already-running daemon (what the CI smoke
@@ -36,15 +36,8 @@
 //! finishing; `--phase resume` reads the token file, resumes every
 //! session, streams the remainder and writes the bench report.
 //!
-//! # Shard scaling sweep
-//!
-//! `--shards 1,2,4,8` (in-process only) runs the whole workload once
-//! per listed shard count, asks each daemon for the cross-shard
-//! `SuiteReport`, and writes a `scaling` array alongside the usual
-//! top-level numbers (which come from the first listed point, so
-//! committed baselines keep their meaning). `available_parallelism` is
-//! recorded with the curve — a speedup claim means nothing without the
-//! core count it ran on.
+//! `available_parallelism` is recorded with every report — a throughput
+//! figure means nothing without the core count it ran on.
 
 use fuzzyphase_profiler::Sample;
 use fuzzyphase_serve::{ClientControl, ServeClient, Server, ServerConfig, ServerMsg, SpoolConfig};
@@ -65,7 +58,6 @@ struct Args {
     spool_dir: Option<String>,
     phase: Option<String>,
     tokens: String,
-    shards: Option<Vec<usize>>,
 }
 
 impl Default for Args {
@@ -83,7 +75,6 @@ impl Default for Args {
             spool_dir: None,
             phase: None,
             tokens: "loadgen-tokens.json".to_string(),
-            shards: None,
         }
     }
 }
@@ -92,8 +83,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT] [--sessions N] [--samples N] [--batch N] \
          [--spv N] [--refit-every N] [--out FILE] [--shutdown] \
-         [--restart-after N] [--spool-dir DIR] [--phase first|resume] [--tokens FILE] \
-         [--shards LIST (e.g. 1,2,4,8; in-process scaling sweep)]"
+         [--restart-after N] [--spool-dir DIR] [--phase first|resume] [--tokens FILE]"
     );
     std::process::exit(2);
 }
@@ -125,19 +115,6 @@ fn parse_args() -> Args {
             "--spool-dir" => a.spool_dir = Some(val("--spool-dir")),
             "--phase" => a.phase = Some(val("--phase")),
             "--tokens" => a.tokens = val("--tokens"),
-            "--shards" => {
-                let list: Result<Vec<usize>, _> = val("--shards")
-                    .split(',')
-                    .map(|s| s.trim().parse())
-                    .collect();
-                match list {
-                    Ok(v) if !v.is_empty() && v.iter().all(|&n| n > 0) => a.shards = Some(v),
-                    _ => {
-                        eprintln!("loadgen: --shards wants a comma list of positive counts");
-                        usage();
-                    }
-                }
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("loadgen: unknown flag '{other}'");
@@ -158,13 +135,6 @@ fn parse_args() -> Args {
             eprintln!("loadgen: --phase first needs --restart-after N (frames before the kill)");
             usage();
         }
-    }
-    if a.shards.is_some() && (a.addr.is_some() || a.phase.is_some() || a.restart_after > 0) {
-        eprintln!(
-            "loadgen: --shards is an in-process sweep; it cannot combine with \
-             --addr, --phase or --restart-after"
-        );
-        usage();
     }
     if a.restart_after > 0 && (a.restart_after * a.batch) as u64 >= a.samples {
         eprintln!(
@@ -209,25 +179,6 @@ struct SessionStats {
     resume_latency_ms: Option<f64>,
 }
 
-/// A finished session's stats plus its raw sorted ack latencies.
-type SessionResult = (SessionStats, Vec<f64>);
-
-/// One point of the `--shards` scaling sweep: the same workload against
-/// a daemon running `shards` worker shards.
-#[derive(Serialize)]
-struct ScalingPoint {
-    shards: usize,
-    wall_ms: f64,
-    aggregate_throughput_samples_per_sec: f64,
-    latency_p50_ms: f64,
-    latency_p99_ms: f64,
-    /// Whether the daemon produced a cross-shard `SuiteReport` over the
-    /// finished sessions (the merge path worked end to end).
-    suite_ok: bool,
-    /// Throughput relative to the sweep's first listed point.
-    speedup_vs_first: f64,
-}
-
 #[derive(Serialize)]
 struct BenchReport {
     sessions: usize,
@@ -238,11 +189,8 @@ struct BenchReport {
     in_process_server: bool,
     restart_after_frames: usize,
     /// `std::thread::available_parallelism()` on the machine that ran
-    /// the bench — the denominator any scaling claim is read against.
+    /// the bench — the denominator any throughput claim is read against.
     available_parallelism: usize,
-    /// The `--shards` sweep, first listed point first; empty when the
-    /// sweep was not requested.
-    scaling: Vec<ScalingPoint>,
     wall_ms: f64,
     total_samples: u64,
     aggregate_throughput_samples_per_sec: f64,
@@ -533,7 +481,6 @@ fn write_report(
     in_process: bool,
     wall_s: f64,
     results: Vec<(SessionStats, Vec<f64>)>,
-    scaling: Vec<ScalingPoint>,
 ) {
     let (all_lat, total_samples, all_ok) = aggregate(&results);
     let mut resume_lat: Vec<f64> = results
@@ -551,7 +498,6 @@ fn write_report(
         in_process_server: in_process,
         restart_after_frames: args.restart_after,
         available_parallelism: available_parallelism(),
-        scaling,
         wall_ms: wall_s * 1e3,
         total_samples,
         aggregate_throughput_samples_per_sec: total_samples as f64 / wall_s.max(1e-9),
@@ -580,18 +526,7 @@ fn write_report(
             report.sessions_resumed, report.resume_latency_p50_ms, report.resume_latency_p99_ms
         );
     }
-    for p in &report.scaling {
-        eprintln!(
-            "loadgen: {} shard(s): {:.0} samples/s, p99 {:.2} ms, {:.2}x vs first, suite {}",
-            p.shards,
-            p.aggregate_throughput_samples_per_sec,
-            p.latency_p99_ms,
-            p.speedup_vs_first,
-            if p.suite_ok { "ok" } else { "FAILED" }
-        );
-    }
-    let suites_ok = report.scaling.iter().all(|p| p.suite_ok);
-    if !all_ok || !suites_ok {
+    if !all_ok {
         std::process::exit(1);
     }
 }
@@ -649,66 +584,8 @@ fn run_all_sessions(addr: &str, args: &Args) -> Vec<(SessionStats, Vec<f64>)> {
     })
 }
 
-/// The `--shards` scaling sweep: one in-process daemon per listed shard
-/// count, the same workload each time, a `SuiteReport` probe at the
-/// end of each point. Top-level report numbers come from the first
-/// listed point so the file stays comparable with non-sweep baselines.
-fn run_shard_sweep(args: &Args, counts: &[usize]) {
-    eprintln!(
-        "loadgen: shard sweep {counts:?} — {} session(s) × {} samples each, {} core(s)",
-        args.sessions,
-        args.samples,
-        available_parallelism()
-    );
-    let mut scaling = Vec::new();
-    let mut first: Option<(f64, Vec<SessionResult>)> = None;
-    let mut first_tp = 0.0f64;
-    for &n in counts {
-        let cfg = ServerConfig {
-            shards: n,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(cfg).expect("start sweep server");
-        let addr = server.local_addr().to_string();
-        let wall = Instant::now();
-        let results = run_all_sessions(&addr, args);
-        let wall_s = wall.elapsed().as_secs_f64();
-        let suite_ok = ServeClient::connect(&addr)
-            .and_then(|mut c| c.suite_report())
-            .is_ok();
-        server.shutdown();
-
-        let (all_lat, total_samples, all_ok) = aggregate(&results);
-        if !all_ok {
-            eprintln!("loadgen: {n}-shard point: a session missed its Report");
-            std::process::exit(1);
-        }
-        let tp = total_samples as f64 / wall_s.max(1e-9);
-        if first.is_none() {
-            first_tp = tp;
-            first = Some((wall_s, results));
-        }
-        scaling.push(ScalingPoint {
-            shards: n,
-            wall_ms: wall_s * 1e3,
-            aggregate_throughput_samples_per_sec: tp,
-            latency_p50_ms: percentile(&all_lat, 50.0),
-            latency_p99_ms: percentile(&all_lat, 99.0),
-            suite_ok,
-            speedup_vs_first: tp / first_tp.max(1e-9),
-        });
-    }
-    let (wall_s, results) = first.expect("at least one sweep point");
-    write_report(args, true, wall_s, results, scaling);
-}
-
 fn main() {
     let args = parse_args();
-
-    if let Some(counts) = args.shards.clone() {
-        run_shard_sweep(&args, &counts);
-        return;
-    }
 
     // External two-phase modes (the smoke script kills the daemon in
     // between invocations).
@@ -742,13 +619,7 @@ fn main() {
             let wall = Instant::now();
             let tokens = rows.into_iter().map(|t| (t, Vec::new())).collect();
             let results = resume_phases(&addr, &args, tokens);
-            write_report(
-                &args,
-                false,
-                wall.elapsed().as_secs_f64(),
-                results,
-                Vec::new(),
-            );
+            write_report(&args, false, wall.elapsed().as_secs_f64(), results);
             maybe_shutdown(&args, &addr);
             return;
         }
@@ -780,13 +651,7 @@ fn main() {
         let server = Server::start(cfg).expect("restart in-process server");
         let addr = server.local_addr().to_string();
         let results = resume_phases(&addr, &args, tokens);
-        write_report(
-            &args,
-            true,
-            wall.elapsed().as_secs_f64(),
-            results,
-            Vec::new(),
-        );
+        write_report(&args, true, wall.elapsed().as_secs_f64(), results);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&spool_dir);
         return;
@@ -819,7 +684,6 @@ fn main() {
         local.is_some(),
         wall.elapsed().as_secs_f64(),
         results,
-        Vec::new(),
     );
 
     maybe_shutdown(&args, &addr);

@@ -1,13 +1,14 @@
-//! Cross-shard suite merge (DESIGN.md D11).
+//! Cross-session suite merge (DESIGN.md D9).
 //!
-//! The sharded serve daemon gives each worker shard exclusive ownership
-//! of a subset of sessions; at suite-report time the shards' per-session
-//! partial states must fold into one [`MergedSuite`] whose analysis
-//! output is **independent of how sessions were sharded**. The trick is
-//! to make the fold order a function of the *sessions* (their tokens),
-//! never of the shard layout: [`merge_partials`] sorts every partial by
-//! token and absorbs them in that order, so one shard, eight shards, or
-//! an offline per-session pipeline all collapse to byte-identical state.
+//! The serve daemon keeps each finished session's partial state; at
+//! suite-report time those partials must fold into one [`MergedSuite`]
+//! whose analysis output is **independent of the order sessions
+//! finished in or were collected in**. The trick is to make the fold
+//! order a function of the *sessions* (their tokens), never of arrival
+//! or iteration order: [`merge_partials`] sorts every partial by token
+//! and absorbs them in that order, so any collection order of the daemon
+//! or an offline per-session pipeline all collapse to byte-identical
+//! state.
 //!
 //! Two accumulators cross the merge boundary:
 //!
@@ -31,8 +32,8 @@
 use fuzzyphase_profiler::EipvData;
 use fuzzyphase_stats::MergeableWelford;
 
-/// One session's contribution to the suite: everything a shard must hand
-/// over for the cross-shard merge.
+/// One session's contribution to the suite: everything a finished
+/// session hands over for the cross-session merge.
 ///
 /// Produced by the serve daemon when a session finishes (its engine's
 /// final EIPV data plus sample-CPI accumulator), but deliberately free of
@@ -73,8 +74,8 @@ pub struct MergedSuite {
 /// Folds session partials into one suite state, in token order.
 ///
 /// Sorting by token before absorbing is what makes the result invariant
-/// to shard count and shard iteration order: any sharding of the same
-/// sessions yields the same sorted sequence, hence bit-identical merged
+/// to partition and iteration order: any grouping of the same sessions
+/// yields the same sorted sequence, hence bit-identical merged
 /// vectors, CPIs, index, and Welford state. Duplicate tokens cannot occur
 /// in a live daemon (tokens are claimed exclusively); if a caller passes
 /// duplicates anyway, both are folded in their incoming relative order,
@@ -163,8 +164,8 @@ mod tests {
         let mut rng = seeded_rng(0xD11);
         for _trial in 0..25 {
             let shards = rng.gen_range(1..=8usize);
-            // Route by a random assignment (harsher than the stable-hash
-            // router: any partition must merge identically).
+            // Route by a random assignment: any partition must merge
+            // identically.
             let mut buckets: Vec<Vec<SessionPartial>> = vec![Vec::new(); shards];
             for s in &sessions {
                 let b = rng.gen_range(0..shards);

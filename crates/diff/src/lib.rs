@@ -31,7 +31,7 @@
 //!   differ only in which side the report calls A — mirrored, with
 //!   `cpi_delta` exactly negated;
 //! * the union re-interns EIPs in first-appearance order
-//!   ([`EipvData::absorb`] — the same cross-shard merge primitive the
+//!   ([`EipvData::absorb`] — the same cross-session merge primitive the
 //!   daemon's `SuiteReport` uses), every reduction runs in row order,
 //!   and ranking ties break on support then leaf index.
 //!
@@ -141,7 +141,7 @@ pub fn diff(
     };
 
     // Union feature space: re-intern side 0 then side 1 — the same
-    // first-appearance-order merge the daemon's cross-shard suite
+    // first-appearance-order merge the daemon's cross-session suite
     // report uses, so feature ids are deterministic.
     let mut union = EipvData::empty();
     union.absorb(d0);

@@ -162,9 +162,9 @@ impl EipvData {
     /// samples before B's. The remap is injective, so each vector's
     /// values pass through [`SparseVec::from_pairs`] untouched — merging
     /// is bit-exact on vector values and CPIs, merely re-labelling
-    /// feature ids. This is the cross-shard suite-merge primitive: the
+    /// feature ids. This is the cross-session suite-merge primitive: the
     /// serve daemon absorbs per-session partials in token order, making
-    /// the merged result invariant to how sessions were sharded.
+    /// the merged result invariant to the order sessions finished in.
     pub fn absorb(&mut self, other: &EipvData) {
         let remap: Vec<u32> = (0..other.index.len() as u32)
             .map(|id| self.index.intern(other.index.eip(id)))

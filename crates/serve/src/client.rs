@@ -317,7 +317,7 @@ impl ServeClient {
         }
     }
 
-    /// Requests the cross-shard suite report: the merged analysis over
+    /// Requests the cross-session suite report: the merged analysis over
     /// every session the daemon has finished so far. Blocks for the
     /// reply; the server's refusal (e.g. no finished sessions yet)
     /// comes back as an error.

@@ -65,6 +65,6 @@ pub use metrics::{Metrics, StatsSnapshot};
 pub use protocol::{ClientControl, ServerMsg, PROTOCOL_VERSION, SUPPORTED_PROTOCOLS};
 pub use recovery::{recover_all, RecoveredSession, RecoveryStats};
 pub use scheduler::Scheduler;
-pub use server::{shard_for_token, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use session::{FitOutcome, IngestProgress, SessionConfig, SessionEngine};
 pub use spool::{SessionMeta, SessionSpool, SpoolConfig};

@@ -4,8 +4,7 @@
 //! fuzzyphased [--addr HOST:PORT | --port N] [--max-sessions N]
 //!             [--queue-cap N] [--refit-workers N] [--fold-workers N]
 //!             [--refit-every N] [--idle-timeout-ms N] [--stdin-control]
-//!             [--shards N] [--spool-dir DIR] [--fsync-every N]
-//!             [--segment-bytes N]
+//!             [--spool-dir DIR] [--fsync-every N] [--segment-bytes N]
 //! ```
 //!
 //! Prints `fuzzyphased listening on ADDR` once bound (scripts parse
@@ -20,11 +19,9 @@
 //! clients holding a resume token can reconnect and retransmit only the
 //! frames after the durable high-water mark (see DESIGN.md §D10).
 //!
-//! With `--shards N` ingest is split across N worker shards, each with
-//! its own session map, fit scheduler and spool subdirectory; sessions
-//! are routed by a stable hash of their token, and the `SuiteReport`
-//! request merges every shard's finished sessions into one
-//! deterministic cross-shard analysis (see DESIGN.md §D11).
+//! Every session shares one fit pool sized by `--refit-workers`; the
+//! `SuiteReport` request merges every finished session into one
+//! deterministic cross-session analysis.
 
 use fuzzyphase_serve::{Server, ServerConfig, SpoolConfig};
 use std::io::BufRead;
@@ -38,7 +35,7 @@ fn usage() -> ! {
         "usage: fuzzyphased [--addr HOST:PORT | --port N] [--max-sessions N] \
          [--queue-cap N] [--refit-workers N] [--fold-workers N] \
          [--refit-every N] [--idle-timeout-ms N] [--stdin-control] \
-         [--shards N] [--spool-dir DIR] [--fsync-every N] [--segment-bytes N]"
+         [--spool-dir DIR] [--fsync-every N] [--segment-bytes N]"
     );
     std::process::exit(2);
 }
@@ -84,9 +81,6 @@ fn main() -> ExitCode {
                 cfg.idle_timeout_ms = parse_num("--idle-timeout-ms", args.next())
             }
             "--stdin-control" => stdin_control = true,
-            "--shards" => {
-                cfg.shards = parse_num::<usize>("--shards", args.next()).max(1);
-            }
             "--spool-dir" => {
                 let dir = parse_num::<String>("--spool-dir", args.next());
                 cfg.spool = Some(SpoolConfig::new(std::path::PathBuf::from(dir)));

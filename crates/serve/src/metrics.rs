@@ -32,6 +32,7 @@ pub struct Metrics {
     sessions_resumed: AtomicU64,
     frames_replayed: AtomicU64,
     torn_records: AtomicU64,
+    recovery_failed: AtomicU64,
     unknown_skipped: AtomicU64,
     suite_reports_sent: AtomicU64,
 }
@@ -138,6 +139,12 @@ impl Metrics {
         self.torn_records.fetch_add(torn, Ordering::Relaxed);
     }
 
+    /// Folds the startup scan's unrecoverable spool directories into
+    /// the counters.
+    pub fn recovery_failed(&self, dirs: u64) {
+        self.recovery_failed.fetch_add(dirs, Ordering::Relaxed);
+    }
+
     /// Records a client resuming a recovered session.
     pub fn session_resumed(&self) {
         self.sessions_resumed.fetch_add(1, Ordering::Relaxed);
@@ -149,7 +156,7 @@ impl Metrics {
         self.unknown_skipped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a cross-shard suite report delivered.
+    /// Records a cross-session suite report delivered.
     pub fn suite_report_sent(&self) {
         self.suite_reports_sent.fetch_add(1, Ordering::Relaxed);
     }
@@ -179,6 +186,7 @@ impl Metrics {
             sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
             frames_replayed: self.frames_replayed.load(Ordering::Relaxed),
             torn_records: self.torn_records.load(Ordering::Relaxed),
+            recovery_failed: self.recovery_failed.load(Ordering::Relaxed),
             unknown_skipped: self.unknown_skipped.load(Ordering::Relaxed),
             suite_reports_sent: self.suite_reports_sent.load(Ordering::Relaxed),
         }
@@ -232,9 +240,12 @@ pub struct StatsSnapshot {
     pub frames_replayed: u64,
     /// Torn spool records found (each marks a truncation point).
     pub torn_records: u64,
+    /// Spool directories the startup scan could not rebuild (left on
+    /// disk untouched).
+    pub recovery_failed: u64,
     /// Unknown newer-version frames/messages skipped.
     pub unknown_skipped: u64,
-    /// Cross-shard suite reports delivered.
+    /// Cross-session suite reports delivered.
     pub suite_reports_sent: u64,
 }
 
@@ -265,6 +276,7 @@ mod tests {
         m.segment_sealed();
         m.compaction_run();
         m.recovery(2, 9, 1);
+        m.recovery_failed(3);
         m.session_resumed();
         m.unknown_skip();
         m.suite_report_sent();
@@ -291,6 +303,7 @@ mod tests {
         assert_eq!(s.sessions_resumed, 1);
         assert_eq!(s.frames_replayed, 9);
         assert_eq!(s.torn_records, 1);
+        assert_eq!(s.recovery_failed, 3);
         assert_eq!(s.unknown_skipped, 1);
         assert_eq!(s.suite_reports_sent, 1);
     }

@@ -69,7 +69,7 @@ pub enum ClientControl {
     /// Asks the daemon to drain and exit (admin; allowed without a
     /// session).
     Shutdown,
-    /// Requests the cross-shard suite report: every finished session's
+    /// Requests the cross-session suite report: every finished session's
     /// partial state, merged in token order and re-analyzed as one
     /// suite (allowed without a session). Answered with
     /// [`ServerMsg::SuiteReport`], or `Error` when no session has
@@ -77,10 +77,10 @@ pub enum ClientControl {
     SuiteReport,
     /// Requests a differential analysis between two sessions (allowed
     /// without a session): each side is a v2 resume token or a path to
-    /// an archived spool session directory. The owning shards replay
-    /// each side through the ingest path and the daemon fits the
-    /// discriminant tree, answering with [`ServerMsg::Diff`] — bytes
-    /// identical to the offline `fuzzydiff` CLI over the same spools.
+    /// an archived spool session directory. The daemon replays each
+    /// side through the ingest path and fits the discriminant tree,
+    /// answering with [`ServerMsg::Diff`] — bytes identical to the
+    /// offline `fuzzydiff` CLI over the same spools.
     Diff {
         /// Side A: resume token or spool session directory (the
         /// baseline/"fast" run by convention).
@@ -190,10 +190,9 @@ pub enum ServerMsg {
         vectors: u64,
     },
     /// Answer to [`ClientControl::SuiteReport`]: the analysis of every
-    /// finished session's vectors, merged across shards in token order.
-    /// Deterministic for a given set of finished sessions — bit-identical
-    /// no matter how many shards the daemon runs or which shard owned
-    /// which session.
+    /// finished session's vectors, merged in token order. Deterministic
+    /// for a given set of finished sessions — bit-identical no matter
+    /// in which order they finished.
     SuiteReport {
         /// Analysis over the merged suite vectors.
         report: PredictabilityReport,
@@ -207,9 +206,6 @@ pub enum ServerMsg {
         samples: u64,
         /// Total completed vectors analyzed.
         vectors: u64,
-        /// Shard count the daemon is running with (diagnostic; the
-        /// report's bytes do not depend on it).
-        shards: u64,
     },
     /// Answer to [`ClientControl::Diff`]: the discriminant-tree report
     /// explaining which EIPV features separate the two sessions.
@@ -356,7 +352,7 @@ mod tests {
             ClientControl::SuiteReport,
             ClientControl::Diff {
                 a: "sess-00000001".into(),
-                b: "/var/spool/fuzzyphase/shard-000/sess-00000002".into(),
+                b: "/var/spool/fuzzyphase/sess-00000002".into(),
             },
         ];
         for m in &msgs {

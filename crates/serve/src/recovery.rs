@@ -27,8 +27,6 @@ use std::path::{Path, PathBuf};
 pub struct RecoveredSession {
     /// The replayed spool: state plus append-resume coordinates.
     pub spool: RecoveredSpool,
-    /// The session's spool directory.
-    pub dir: PathBuf,
 }
 
 impl RecoveredSession {
@@ -62,48 +60,30 @@ pub struct RecoveryStats {
     pub max_session_id: u64,
 }
 
-/// Parses the numeric id out of a `sess-NNNNNNNN` token.
+/// Parses the numeric id out of a `sess-NNNNNNNN` token; `None` for
+/// anything else — including every string that could name a path other
+/// than a direct child of the spool root.
 pub fn token_session_id(token: &str) -> Option<u64> {
-    token.strip_prefix("sess-")?.parse().ok()
-}
-
-/// The spool-root subdirectory name for worker shard `index`
-/// (`shard-NNN`). A single-shard daemon keeps the flat `<root>/<token>`
-/// layout for compatibility with pre-shard spools.
-pub fn shard_dir_name(index: usize) -> String {
-    format!("shard-{index:03}")
-}
-
-/// Parses a `shard-NNN` directory name back to its index.
-pub fn parse_shard_dir(name: &str) -> Option<usize> {
-    name.strip_prefix("shard-")?.parse().ok()
+    let digits = token.strip_prefix("sess-")?;
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// Recovers one session directory on demand (the fallback path when a
 /// resume token is not in the startup map).
 pub fn recover_session(dir: &Path, token: &str) -> io::Result<RecoveredSession> {
     let spool = recover_session_dir(dir, token)?;
-    Ok(RecoveredSession {
-        spool,
-        dir: dir.to_path_buf(),
-    })
+    Ok(RecoveredSession { spool })
 }
 
-/// Scans the spool root and rebuilds every session directory found,
-/// whether it lives flat under the root (the single-shard layout) or
-/// under a `shard-NNN` subdirectory (the multi-shard layout). Returns
-/// the token→session map plus scan counters. Directories that fail to
-/// recover are left on disk untouched (counted in
-/// [`RecoveryStats::failed`]) — recovery never deletes data.
-///
-/// The scan is layout-agnostic on purpose: a daemon restarted with a
-/// different `--shards` count still finds every session, because each
-/// [`RecoveredSession`] carries the directory its spool actually lives
-/// in and resume reopens segments in place. Entries are scanned in
-/// sorted name order so the stats and any tie-breaking are
-/// deterministic; should the same token somehow exist in two places,
-/// the copy with the higher durable frame count wins (ties keep the
-/// first in sorted order) and the loser counts as failed.
+/// Scans the spool root and rebuilds every session directory in it
+/// (`<root>/<token>`). Returns the token→session map plus scan
+/// counters. Directories that fail to recover are left on disk
+/// untouched (counted in [`RecoveryStats::failed`]) — recovery never
+/// deletes data. Entries are scanned in sorted name order so the stats
+/// are deterministic.
 pub fn recover_all(
     cfg: &SpoolConfig,
 ) -> io::Result<(BTreeMap<String, RecoveredSession>, RecoveryStats)> {
@@ -112,38 +92,12 @@ pub fn recover_all(
     if !cfg.dir.exists() {
         return Ok((map, stats));
     }
-    let mut session_dirs: Vec<(String, PathBuf)> = Vec::new();
-    for (name, path) in sorted_subdirs(&cfg.dir, &mut stats)? {
-        if parse_shard_dir(&name).is_some() {
-            for sub in sorted_subdirs(&path, &mut stats)? {
-                session_dirs.push(sub);
-            }
-        } else {
-            session_dirs.push((name, path));
-        }
-    }
-    for (token, path) in session_dirs {
+    for (token, path) in sorted_subdirs(&cfg.dir, &mut stats)? {
         if let Some(id) = token_session_id(&token) {
             stats.max_session_id = stats.max_session_id.max(id);
         }
         match recover_session(&path, &token) {
             Ok(sess) => {
-                match map.get(&token) {
-                    Some(prev) if prev.last_seq() >= sess.last_seq() => {
-                        stats.failed += 1;
-                        continue;
-                    }
-                    Some(prev) => {
-                        // Replacing a shorter duplicate: the shorter copy
-                        // is the failed one and its counters back out.
-                        stats.failed += 1;
-                        stats.sessions_recovered -= 1;
-                        stats.frames_replayed -= prev.spool.state.frames;
-                        stats.torn_records -= prev.spool.torn_records;
-                        stats.frames_skipped -= prev.spool.frames_skipped;
-                    }
-                    None => {}
-                }
                 stats.sessions_recovered += 1;
                 stats.frames_replayed += sess.spool.state.frames;
                 stats.torn_records += sess.spool.torn_records;
@@ -252,57 +206,6 @@ mod tests {
         assert_eq!(stats.max_session_id, 99);
         assert!(map.contains_key("sess-00000001"));
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn scan_finds_sessions_under_shard_subdirectories() {
-        let root = test_root("sharded");
-        // Mixed layout: one flat session (a pre-shard or single-shard
-        // spool) plus sessions under two shard subdirectories.
-        let flat = SpoolConfig::new(root.clone());
-        spool_one(&flat, "sess-00000001", 2);
-        let s0 = SpoolConfig::new(root.join(shard_dir_name(0)));
-        spool_one(&s0, "sess-00000002", 3);
-        let s1 = SpoolConfig::new(root.join(shard_dir_name(1)));
-        spool_one(&s1, "sess-00000005", 1);
-
-        let (map, stats) = recover_all(&SpoolConfig::new(root.clone())).expect("recover_all");
-        assert_eq!(stats.sessions_recovered, 3);
-        assert_eq!(stats.frames_replayed, 6);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.max_session_id, 5);
-        assert_eq!(map.len(), 3);
-        // Each recovered session points at the directory it actually
-        // lives in, not a recomputed root/<token> path.
-        assert_eq!(map["sess-00000002"].dir, s0.dir.join("sess-00000002"));
-        assert_eq!(map["sess-00000001"].dir, root.join("sess-00000001"));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn duplicate_token_across_layouts_keeps_longer_spool() {
-        let root = test_root("dup");
-        let flat = SpoolConfig::new(root.clone());
-        spool_one(&flat, "sess-00000004", 2);
-        let s2 = SpoolConfig::new(root.join(shard_dir_name(2)));
-        spool_one(&s2, "sess-00000004", 5);
-
-        let (map, stats) = recover_all(&SpoolConfig::new(root.clone())).expect("recover_all");
-        assert_eq!(stats.sessions_recovered, 1);
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.frames_replayed, 5);
-        assert_eq!(map["sess-00000004"].last_seq(), 5);
-        assert_eq!(map["sess-00000004"].dir, s2.dir.join("sess-00000004"));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn shard_dir_names_roundtrip() {
-        assert_eq!(shard_dir_name(0), "shard-000");
-        assert_eq!(shard_dir_name(17), "shard-017");
-        assert_eq!(parse_shard_dir("shard-017"), Some(17));
-        assert_eq!(parse_shard_dir("shard-"), None);
-        assert_eq!(parse_shard_dir("sess-00000001"), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::metrics::{Metrics, StatsSnapshot};
 use crate::protocol::{
     decode_control_lenient, write_msg, ClientControl, ServerMsg, SUPPORTED_PROTOCOLS,
 };
-use crate::recovery::{recover_session, RecoveredSession};
+use crate::recovery::{recover_session, token_session_id, RecoveredSession};
 use crate::scheduler::Scheduler;
 use crate::session::{SessionConfig, SessionEngine};
 use crate::spool::{compact_session, SessionMeta, SessionSpool, SpoolConfig};
@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,11 +88,6 @@ pub struct ServerConfig {
     /// Write-ahead trace spool (DESIGN.md D10). `None` disables
     /// durability: no spooling, no recovery, no resume tokens.
     pub spool: Option<SpoolConfig>,
-    /// Worker shards (DESIGN.md D11). Each session is routed to one
-    /// shard by a stable hash of its token; every shard owns its own
-    /// session map, fit scheduler and spool subdirectory. 1 (the
-    /// default) keeps the flat single-shard layout.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -110,34 +105,6 @@ impl Default for ServerConfig {
             workers: WorkerBudget::default(),
             request: AnalysisRequest::new(),
             spool: None,
-            shards: 1,
-        }
-    }
-}
-
-/// FNV-1a over the token bytes — the stable session→shard router.
-/// Stability matters doubly: reconnects land on the shard that owns the
-/// session's live state, and (unlike a load-balancing pick) the mapping
-/// is a pure function of the token, never of arrival order.
-pub fn shard_for_token(token: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in token.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
-}
-
-/// Shard `index`'s spool root: the flat root itself for a single-shard
-/// daemon (byte-compatible with pre-shard spool layouts), or
-/// `<root>/shard-NNN` when sharded.
-fn shard_spool_config(base: &SpoolConfig, index: usize, shards: usize) -> SpoolConfig {
-    if shards <= 1 {
-        base.clone()
-    } else {
-        SpoolConfig {
-            dir: base.dir.join(crate::recovery::shard_dir_name(index)),
-            ..base.clone()
         }
     }
 }
@@ -145,35 +112,6 @@ fn shard_spool_config(base: &SpoolConfig, index: usize, shards: usize) -> SpoolC
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
-
-/// One worker shard: exclusive owner of a subset of sessions, routed by
-/// [`shard_for_token`]. Each shard has its own session map, fit
-/// scheduler, recovered-session map, token claims, spool subdirectory
-/// and finished-session partials — the only cross-shard structures are
-/// the admission lock (exact `max_sessions` enforcement) and the merge
-/// in `suite_report`, both deliberate synchronization points.
-struct Shard {
-    /// Regression-tree fit pool for this shard's sessions.
-    scheduler: Scheduler,
-    /// This shard's spool root (`<root>` flat when the daemon runs one
-    /// shard, `<root>/shard-NNN` otherwise). `None` when durability is
-    /// off.
-    spool: Option<SpoolConfig>,
-    /// Active sessions by id — `BTreeMap` so sweeps and drains walk in
-    /// a stable order.
-    sessions: Mutex<BTreeMap<u64, Arc<SessionShared>>>,
-    /// Sessions rebuilt from spools at startup, waiting for their
-    /// client to reconnect. Consume-on-resume: a token leaves the map
-    /// for good the moment a connection claims it; later resumes of the
-    /// same token replay the spool from disk on demand.
-    recovered: Mutex<BTreeMap<String, RecoveredSession>>,
-    /// Resume tokens currently owned by a live connection — the claim
-    /// that prevents two clients from resuming the same session.
-    active_tokens: Mutex<BTreeSet<String>>,
-    /// Finished sessions' suite contributions, keyed by token. Read by
-    /// `SuiteReport`, which merges every shard's map in token order.
-    partials: Mutex<BTreeMap<String, SessionPartial>>,
-}
 
 /// State shared by every daemon thread.
 struct Shared {
@@ -184,12 +122,23 @@ struct Shared {
     state: AtomicU8,
     shutdown_requested: AtomicBool,
     next_session: AtomicU64,
-    /// The worker shards (always at least one).
-    shards: Vec<Shard>,
-    /// Serializes admission so the `max_sessions` cap is exact across
-    /// shards: count-then-insert happens under this lock, never racing
-    /// another connection's admission.
-    admission: Mutex<()>,
+    /// Regression-tree fit pool for every session.
+    scheduler: Scheduler,
+    /// Active sessions by id — `BTreeMap` so sweeps and drains walk in
+    /// a stable order. Admission counts and inserts under this one
+    /// lock, so `max_sessions` is exact.
+    sessions: Mutex<BTreeMap<u64, Arc<SessionShared>>>,
+    /// Sessions rebuilt from spools at startup, waiting for their
+    /// client to reconnect. Consume-on-resume: a token leaves the map
+    /// for good the moment a connection claims it; later resumes of the
+    /// same token replay the spool from disk on demand.
+    recovered: Mutex<BTreeMap<String, RecoveredSession>>,
+    /// Resume tokens currently owned by a live connection — the claim
+    /// that prevents two clients from resuming the same session.
+    active_tokens: Mutex<BTreeSet<String>>,
+    /// Finished sessions' suite contributions, keyed by token. Read by
+    /// `SuiteReport`, which merges them in token order.
+    partials: Mutex<BTreeMap<String, SessionPartial>>,
 }
 
 impl Shared {
@@ -202,22 +151,10 @@ impl Shared {
         );
     }
 
-    fn shard_for(&self, token: &str) -> usize {
-        shard_for_token(token, self.shards.len())
-    }
-
-    /// Total open sessions across all shards.
-    fn total_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.sessions.lock().len()).sum()
-    }
-
-    /// Runs `f` on every live session, shard by shard.
-    fn for_each_session(&self, mut f: impl FnMut(&Arc<SessionShared>)) {
-        for shard in &self.shards {
-            for s in shard.sessions.lock().values() {
-                f(s);
-            }
-        }
+    /// The open sessions, cloned out of the map so per-session work
+    /// (socket shutdowns, flag latches) never runs under its lock.
+    fn live_sessions(&self) -> Vec<Arc<SessionShared>> {
+        self.sessions.lock().values().cloned().collect()
     }
 }
 
@@ -369,22 +306,13 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new());
-        let shard_count = cfg.shards.max(1);
         let (pool, fold_workers) = cfg.workers.resolve(cfg.max_sessions.max(1));
-        // The fit budget splits evenly across shards (every shard gets
-        // at least one worker, so a --shards value above the pool width
-        // oversubscribes rather than starving shards).
-        let shard_pool = (pool / shard_count).max(1);
 
         // Replay spools before accepting connections: crashed sessions
         // become resumable, and the id counter starts past every token
-        // on disk so a restart never reissues one. The scan is
-        // layout-agnostic (flat and shard-NNN directories both count),
-        // so restarting with a different --shards value recovers
-        // everything; each recovered session is then routed to the
-        // shard the *current* hash assigns its token.
-        let mut recovered_by_shard: Vec<BTreeMap<String, RecoveredSession>> =
-            (0..shard_count).map(|_| BTreeMap::new()).collect();
+        // on disk so a restart never reissues one. Directories that fail
+        // to recover stay on disk untouched and are counted.
+        let mut recovered = BTreeMap::new();
         let mut first_id = 1u64;
         if let Some(spool_cfg) = &cfg.spool {
             let (map, rstats) = crate::recovery::recover_all(spool_cfg)?;
@@ -393,34 +321,13 @@ impl Server {
                 rstats.frames_replayed,
                 rstats.torn_records,
             );
+            metrics.recovery_failed(rstats.failed);
             first_id = rstats.max_session_id + 1;
-            for (token, sess) in map {
-                let idx = shard_for_token(&token, shard_count);
-                recovered_by_shard[idx].insert(token, sess);
-            }
+            recovered = map;
         }
 
-        let shards: Vec<Shard> = recovered_by_shard
-            .into_iter()
-            .enumerate()
-            .map(|(index, recovered)| Shard {
-                scheduler: Scheduler::new(
-                    shard_pool,
-                    cfg.max_sessions.max(1),
-                    Arc::clone(&metrics),
-                ),
-                spool: cfg
-                    .spool
-                    .as_ref()
-                    .map(|s| shard_spool_config(s, index, shard_count)),
-                sessions: Mutex::new(BTreeMap::new()),
-                recovered: Mutex::new(recovered),
-                active_tokens: Mutex::new(BTreeSet::new()),
-                partials: Mutex::new(BTreeMap::new()),
-            })
-            .collect();
-
         let shared = Arc::new(Shared {
+            scheduler: Scheduler::new(pool, cfg.max_sessions.max(1), Arc::clone(&metrics)),
             cfg,
             fold_workers,
             metrics,
@@ -428,8 +335,10 @@ impl Server {
             state: AtomicU8::new(STATE_RUNNING),
             shutdown_requested: AtomicBool::new(false),
             next_session: AtomicU64::new(first_id),
-            shards,
-            admission: Mutex::new(()),
+            sessions: Mutex::new(BTreeMap::new()),
+            recovered: Mutex::new(recovered),
+            active_tokens: Mutex::new(BTreeSet::new()),
+            partials: Mutex::new(BTreeMap::new()),
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -481,34 +390,9 @@ impl Server {
         self.shared.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    /// Number of currently open sessions (across all shards).
+    /// Number of currently open sessions.
     pub fn active_sessions(&self) -> usize {
-        self.shared.total_sessions()
-    }
-
-    /// Number of worker shards this daemon runs.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// Open sessions per shard, in shard order — the router's live
-    /// distribution (tests and diagnostics; the wire `Stats` carries
-    /// only scalars).
-    pub fn shard_sessions(&self) -> Vec<usize> {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.sessions.lock().len())
-            .collect()
-    }
-
-    /// Finished-session suite partials per shard, in shard order.
-    pub fn shard_partials(&self) -> Vec<usize> {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.partials.lock().len())
-            .collect()
+        self.shared.sessions.lock().len()
     }
 
     /// Enters draining: running sessions continue, new connections are
@@ -523,12 +407,12 @@ impl Server {
         self.begin_shutdown();
         let poll = Duration::from_millis(10);
         let mut waited = 0u64;
-        while self.shared.total_sessions() > 0 {
+        while self.active_sessions() > 0 {
             if waited >= self.shared.cfg.drain_deadline_ms {
-                self.shared.for_each_session(|s| {
+                for s in self.shared.live_sessions() {
                     s.dead.store(true, Ordering::SeqCst);
                     let _ = s.stream.shutdown(Shutdown::Both);
-                });
+                }
             }
             std::thread::sleep(poll);
             waited += 10;
@@ -559,10 +443,10 @@ impl Server {
     /// next daemon start to recover.
     pub fn abort(mut self) {
         self.shared.state.store(STATE_STOPPED, Ordering::SeqCst);
-        self.shared.for_each_session(|s| {
+        for s in self.shared.live_sessions() {
             s.dead.store(true, Ordering::SeqCst);
             let _ = s.stream.shutdown(Shutdown::Both);
-        });
+        }
         // Nudge the accept loop out of its blocking accept().
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
@@ -622,7 +506,7 @@ fn sweep_loop(shared: Arc<Shared>) {
         }
         if shared.cfg.idle_timeout_ms > 0 {
             let now = shared.clock.now_millis();
-            shared.for_each_session(|s| {
+            for s in shared.live_sessions() {
                 let quiet = now.saturating_sub(s.last_activity.load(Ordering::Relaxed));
                 if quiet >= shared.cfg.idle_timeout_ms && !s.expired.swap(true, Ordering::SeqCst) {
                     shared.metrics.idle_reap();
@@ -630,7 +514,7 @@ fn sweep_loop(shared: Arc<Shared>) {
                     // timeout error can still be delivered.
                     let _ = s.stream.shutdown(Shutdown::Read);
                 }
-            });
+            }
         }
         std::thread::sleep(Duration::from_millis(shared.cfg.sweep_interval_ms.max(1)));
     }
@@ -639,8 +523,6 @@ fn sweep_loop(shared: Arc<Shared>) {
 /// Everything `open_session` hands back to the reader loop.
 struct OpenedSession {
     id: u64,
-    /// Index of the shard that owns this session.
-    shard: usize,
     tx: crossbeam::channel::Sender<EngineMsg>,
     engine: JoinHandle<()>,
     /// The session's write-ahead spool (None when durability is off).
@@ -814,7 +696,7 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
                             shared.metrics.spool_append(payload.len() as u64);
                             if sealed {
                                 shared.metrics.segment_sealed();
-                                schedule_compaction(&shared, opened.shard, &session, spool.dir());
+                                schedule_compaction(&shared, &session, spool.dir());
                             }
                         }
                         Err(e) => {
@@ -850,12 +732,11 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
     // Teardown: closing the ingest channel stops the engine once it has
     // drained everything already queued.
     if let Some(opened) = registered {
-        let shard = &shared.shards[opened.shard];
         drop(opened.tx);
         // fuzzylint: allow(panic) — engine panics are daemon bugs;
         // propagate them instead of hiding a half-dead session
         opened.engine.join().expect("session engine panicked");
-        shard.sessions.lock().remove(&opened.id);
+        shared.sessions.lock().remove(&opened.id);
         shared.metrics.session_ended();
         if let Some(mut spool) = opened.spool {
             let _ = spool.sync();
@@ -872,21 +753,19 @@ fn connection_thread(stream: TcpStream, shared: Arc<Shared>) {
             }
         }
         if let Some(token) = opened.token {
-            shard.active_tokens.lock().remove(&token);
+            shared.active_tokens.lock().remove(&token);
         }
     }
     let _ = session.stream.shutdown(Shutdown::Both);
 }
 
-/// Builds the cross-shard suite report: clones every shard's finished
-/// partials, folds them in token order ([`merge_partials`] — the bits
-/// are the same for any shard count), and runs the suite-level fit.
-/// Runs inline on the requesting connection's thread, like `Stats`.
+/// Builds the cross-session suite report: clones every finished
+/// session's partial, folds them in token order ([`merge_partials`] —
+/// the bits are the same for any completion order), and runs the
+/// suite-level fit. Runs inline on the requesting connection's thread,
+/// like `Stats`.
 fn suite_report(shared: &Arc<Shared>) -> Result<ServerMsg, String> {
-    let mut partials: Vec<SessionPartial> = Vec::new();
-    for shard in &shared.shards {
-        partials.extend(shard.partials.lock().values().cloned());
-    }
+    let partials: Vec<SessionPartial> = shared.partials.lock().values().cloned().collect();
     if partials.is_empty() {
         return Err("no finished sessions to report on".to_string());
     }
@@ -915,7 +794,6 @@ fn suite_report(shared: &Arc<Shared>) -> Result<ServerMsg, String> {
         sessions: merged.sessions as u64,
         samples: merged.samples,
         vectors: merged.data.len() as u64,
-        shards: shared.shards.len() as u64,
     })
 }
 
@@ -938,11 +816,13 @@ fn diff_side(shared: &Arc<Shared>, spec: &str) -> Result<(String, EipvData), Str
             .map_err(|e| format!("diff side '{spec}': {e}"))?;
         return Ok((token, rec.state.builder.data().clone()));
     }
-    let shard = &shared.shards[shared.shard_for(spec)];
-    if let Some(partial) = shard.partials.lock().get(spec) {
+    if token_session_id(spec).is_none() {
+        return Err(format!("diff side '{spec}': invalid resume token"));
+    }
+    if let Some(partial) = shared.partials.lock().get(spec) {
         return Ok((spec.to_string(), partial.data.clone()));
     }
-    if let Some(rec) = shard.recovered.lock().get(spec) {
+    if let Some(rec) = shared.recovered.lock().get(spec) {
         return Ok((spec.to_string(), rec.spool.state.builder.data().clone()));
     }
     let Some(spool_cfg) = &shared.cfg.spool else {
@@ -950,27 +830,26 @@ fn diff_side(shared: &Arc<Shared>, spec: &str) -> Result<(String, EipvData), Str
             "diff side '{spec}': daemon has no spool; pass a session directory path"
         ));
     };
-    let dir = locate_session_dir(spool_cfg, shard.spool.as_ref(), spec);
-    let rec = recover_session(&dir, spec).map_err(|e| format!("diff side '{spec}': {e}"))?;
+    let rec = recover_session(&spool_cfg.dir.join(spec), spec)
+        .map_err(|e| format!("diff side '{spec}': {e}"))?;
     Ok((spec.to_string(), rec.spool.state.builder.data().clone()))
 }
 
 /// Answers [`ClientControl::Diff`]: resolves both sides, fits the
 /// discriminant tree (`fuzzyphase_diff::diff` with the daemon request's
-/// diff options — the defaults are the wire contract) on the owning
-/// shard's fit pool, inline on this connection's thread when the pool
-/// is unavailable. The reply bytes depend only on the two sides'
-/// spooled samples, never on shard count or where the fit ran.
+/// diff options — the defaults are the wire contract) on the fit pool,
+/// inline on this connection's thread when the pool is unavailable.
+/// The reply bytes depend only on the two sides' spooled samples, never
+/// on where the fit ran.
 fn diff_report(shared: &Arc<Shared>, a: &str, b: &str) -> Result<ServerMsg, String> {
     let (label_a, data_a) = diff_side(shared, a)?;
     let (label_b, data_b) = diff_side(shared, b)?;
     let opts = *shared.cfg.request.diff();
-    let shard = &shared.shards[shared.shard_for(&label_a)];
     let fit = {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let (ja, jb) = (data_a.clone(), data_b.clone());
         let (la, lb) = (label_a.clone(), label_b.clone());
-        let queued = shard.scheduler.submit(&shared.metrics, move || {
+        let queued = shared.scheduler.submit(&shared.metrics, move || {
             let _ = tx.send(fuzzyphase_diff::diff(&ja, &jb, &la, &lb, &opts));
         });
         if queued {
@@ -984,71 +863,26 @@ fn diff_report(shared: &Arc<Shared>, a: &str, b: &str) -> Result<ServerMsg, Stri
     Ok(ServerMsg::Diff { report })
 }
 
-/// Queues a compaction pass for one session's spool on its shard's
-/// analysis pool, at most one in flight per session.
-fn schedule_compaction(
-    shared: &Arc<Shared>,
-    shard: usize,
-    session: &Arc<SessionShared>,
-    dir: &Path,
-) {
+/// Queues a compaction pass for one session's spool on the analysis
+/// pool, at most one in flight per session.
+fn schedule_compaction(shared: &Arc<Shared>, session: &Arc<SessionShared>, dir: &Path) {
     if session.compaction_in_flight.swap(true, Ordering::SeqCst) {
         return;
     }
     let dir = dir.to_path_buf();
     let job_shared = Arc::clone(shared);
     let job_session = Arc::clone(session);
-    let queued = shared.shards[shard]
-        .scheduler
-        .submit(&shared.metrics, move || {
-            if let Ok(Some(_)) = compact_session(&dir) {
-                job_shared.metrics.compaction_run();
-            }
-            job_session
-                .compaction_in_flight
-                .store(false, Ordering::SeqCst);
-        });
+    let queued = shared.scheduler.submit(&shared.metrics, move || {
+        if let Ok(Some(_)) = compact_session(&dir) {
+            job_shared.metrics.compaction_run();
+        }
+        job_session
+            .compaction_in_flight
+            .store(false, Ordering::SeqCst);
+    });
     if !queued {
         session.compaction_in_flight.store(false, Ordering::SeqCst);
     }
-}
-
-/// Where a resumable session's spool directory actually lives. The
-/// current-hash shard directory is checked first, then the flat root (a
-/// spool left by a single-shard run), then every `shard-NNN`
-/// subdirectory in sorted order (a spool left by a run with a different
-/// shard count). When nothing exists the preferred path is returned, so
-/// the caller's recovery error names the canonical location.
-fn locate_session_dir(
-    root: &SpoolConfig,
-    shard_spool: Option<&SpoolConfig>,
-    token: &str,
-) -> PathBuf {
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    if let Some(s) = shard_spool {
-        candidates.push(s.dir.join(token));
-    }
-    candidates.push(root.dir.join(token));
-    if let Ok(entries) = std::fs::read_dir(&root.dir) {
-        let mut shard_dirs: Vec<PathBuf> = entries
-            .flatten()
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| crate::recovery::parse_shard_dir(n).is_some())
-            })
-            .map(|e| e.path())
-            .collect();
-        shard_dirs.sort();
-        for d in shard_dirs {
-            candidates.push(d.join(token));
-        }
-    }
-    let preferred = candidates[0].clone();
-    candidates
-        .into_iter()
-        .find(|p| p.is_dir())
-        .unwrap_or(preferred)
 }
 
 /// Validates `Hello` (fresh or resume), registers the session and
@@ -1090,44 +924,49 @@ fn open_session(
         shared.metrics.session_error();
         return Err("session resume requires protocol version 2".to_string());
     }
-    // Resume: route by token (a pure hash, so the reconnect lands on
-    // the shard that owns the session), claim the token on that shard,
-    // then rebuild state — from the startup map when the session
-    // crashed with the daemon, from disk when only the connection died.
-    let resumed: Option<(usize, RecoveredSession)> = match (&resume, &shared.cfg.spool) {
+    // A resume token becomes a directory name under the spool root, so
+    // anything but the daemon's own `sess-<digits>` shape (a `..`, an
+    // absolute path, an empty string) is refused before it touches the
+    // filesystem.
+    if let Some(token) = &resume {
+        if token_session_id(token).is_none() {
+            shared.metrics.session_error();
+            return Err(format!("invalid resume token '{token}'"));
+        }
+    }
+    // Resume: claim the token, then rebuild state — from the startup
+    // map when the session crashed with the daemon, from disk when only
+    // the connection died.
+    let resumed: Option<RecoveredSession> = match (&resume, &shared.cfg.spool) {
         (None, _) => None,
         (Some(_), None) => {
             shared.metrics.session_error();
             return Err("daemon has no spool; sessions cannot be resumed".to_string());
         }
         (Some(token), Some(spool_cfg)) => {
-            let shard_idx = shared.shard_for(token);
-            let shard = &shared.shards[shard_idx];
-            if !shard.active_tokens.lock().insert(token.clone()) {
+            if !shared.active_tokens.lock().insert(token.clone()) {
                 shared.metrics.session_error();
                 return Err(format!("session '{token}' is already connected"));
             }
             let release = || {
-                shard.active_tokens.lock().remove(token);
+                shared.active_tokens.lock().remove(token);
                 shared.metrics.session_error();
             };
-            let rec = match shard.recovered.lock().remove(token) {
+            let startup = shared.recovered.lock().remove(token);
+            let rec = match startup {
                 Some(r) => r,
-                None => {
-                    let dir = locate_session_dir(spool_cfg, shard.spool.as_ref(), token);
-                    match recover_session(&dir, token) {
-                        Ok(r) => {
-                            shared
-                                .metrics
-                                .recovery(1, r.spool.state.frames, r.spool.torn_records);
-                            r
-                        }
-                        Err(e) => {
-                            release();
-                            return Err(format!("cannot resume session '{token}': {e}"));
-                        }
+                None => match recover_session(&spool_cfg.dir.join(token), token) {
+                    Ok(r) => {
+                        shared
+                            .metrics
+                            .recovery(1, r.spool.state.frames, r.spool.torn_records);
+                        r
                     }
-                }
+                    Err(e) => {
+                        release();
+                        return Err(format!("cannot resume session '{token}': {e}"));
+                    }
+                },
             };
             if rec.spool.state.meta.spv != spv {
                 // Put the state back: the token is still resumable.
@@ -1135,57 +974,48 @@ fn open_session(
                     "resume '{token}': spv {spv} does not match the session's spv {}",
                     rec.spool.state.meta.spv
                 );
-                shard.recovered.lock().insert(token.clone(), rec);
+                shared.recovered.lock().insert(token.clone(), rec);
                 release();
                 return Err(msg);
             }
-            Some((shard_idx, rec))
+            Some(rec)
         }
     };
-    let resume_shard = resumed.as_ref().map(|(si, _)| *si);
 
-    // Admission + routing. A fresh session's token (`sess-NNNNNNNN`)
-    // exists only once its id does, so the id is allocated under the
-    // admission lock and the shard computed from the resulting token —
-    // the same hash a future resume of that token will route by. The
-    // lock makes the count-then-insert exact across shards.
-    let (id, shard_idx) = {
-        let _admission = shared.admission.lock();
-        let total = shared.total_sessions();
-        if total >= shared.cfg.max_sessions {
+    // Admission: count-then-insert under the one `sessions` lock, so
+    // concurrent opens can never overshoot `max_sessions`.
+    let admitted = {
+        let mut sessions = shared.sessions.lock();
+        let total = sessions.len();
+        if total < shared.cfg.max_sessions {
+            let id = shared.next_session.fetch_add(1, Ordering::SeqCst);
+            session.id.store(id, Ordering::Relaxed);
+            sessions.insert(id, Arc::clone(session));
+            Ok(id)
+        } else {
+            Err(total)
+        }
+    };
+    let release_token = |token: &Option<String>| {
+        if let Some(t) = token {
+            shared.active_tokens.lock().remove(t);
+        }
+    };
+    let id = match admitted {
+        Ok(id) => id,
+        Err(total) => {
             shared.metrics.session_refused();
-            if let (Some(si), Some(t)) = (resume_shard, &resume) {
-                shared.shards[si].active_tokens.lock().remove(t);
-            }
+            release_token(&resume);
             return Err(format!(
                 "too many sessions ({total} active, limit {})",
                 shared.cfg.max_sessions
             ));
         }
-        let id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-        let shard_idx = match resume_shard {
-            Some(si) => si,
-            None => shared.shard_for(&format!("sess-{id:08}")),
-        };
-        session.id.store(id, Ordering::Relaxed);
-        shared.shards[shard_idx]
-            .sessions
-            .lock()
-            .insert(id, Arc::clone(session));
-        (id, shard_idx)
     };
     shared.metrics.session_started();
-    let shard = &shared.shards[shard_idx];
     let deregister = || {
-        shard.sessions.lock().remove(&id);
+        shared.sessions.lock().remove(&id);
         shared.metrics.session_ended();
-    };
-    // Every token this session can own (resume or fresh) hashes to
-    // `shard_idx`, so cleanup always targets that shard's claim set.
-    let release_token = |token: &Option<String>| {
-        if let Some(t) = token {
-            shard.active_tokens.lock().remove(t);
-        }
     };
 
     let mut scfg = SessionConfig {
@@ -1198,7 +1028,7 @@ fn open_session(
 
     // Build the engine (fresh, or restored from the replayed state) and
     // the spool appender.
-    let (engine, spool, token, last_seq, bytes) = match (resumed, &shard.spool) {
+    let (engine, spool, token, last_seq, bytes) = match (resumed, &shared.cfg.spool) {
         // Resume was validated against the spool config above, so a
         // recovered session always pairs with one; handle the impossible
         // combination as an error rather than a panic.
@@ -1207,11 +1037,8 @@ fn open_session(
             release_token(&resume);
             return Err("daemon has no spool; sessions cannot be resumed".to_string());
         }
-        (Some((_, rec)), Some(spool_cfg)) => {
-            // Reopen the spool where the scan actually found it — which
-            // may be a different shard directory (or the flat root) than
-            // the current hash would pick, after a --shards change.
-            let spool = match SessionSpool::resume_in(rec.dir.clone(), spool_cfg, &rec.spool) {
+        (Some(rec), Some(spool_cfg)) => {
+            let spool = match SessionSpool::resume(spool_cfg, &rec.spool) {
                 Ok(s) => s,
                 Err(e) => {
                     deregister();
@@ -1226,7 +1053,7 @@ fn open_session(
         }
         (None, Some(spool_cfg)) => {
             let token = format!("sess-{id:08}");
-            shard.active_tokens.lock().insert(token.clone());
+            shared.active_tokens.lock().insert(token.clone());
             let meta = SessionMeta {
                 token: token.clone(),
                 name: name.to_string(),
@@ -1237,7 +1064,7 @@ fn open_session(
             match SessionSpool::create(spool_cfg, meta) {
                 Ok(s) => (SessionEngine::new(scfg), Some(s), Some(token), 0, 0),
                 Err(e) => {
-                    shard.active_tokens.lock().remove(&token);
+                    shared.active_tokens.lock().remove(&token);
                     deregister();
                     return Err(format!("cannot create spool for '{name}': {e}"));
                 }
@@ -1269,21 +1096,11 @@ fn open_session(
     let engine_session = Arc::clone(session);
     let spawned = std::thread::Builder::new()
         .name(format!("fuzzyphased-sess-{id}"))
-        .spawn(move || {
-            engine_thread(
-                rx,
-                engine_shared,
-                engine_session,
-                engine,
-                shard_idx,
-                suite_key,
-            )
-        });
+        .spawn(move || engine_thread(rx, engine_shared, engine_session, engine, suite_key));
     match spawned {
         Ok(h) => Ok((
             OpenedSession {
                 id,
-                shard: shard_idx,
                 tx,
                 engine: h,
                 spool,
@@ -1305,7 +1122,6 @@ fn engine_thread(
     shared: Arc<Shared>,
     session: Arc<SessionShared>,
     mut engine: SessionEngine,
-    shard: usize,
     suite_key: String,
 ) {
     // Frame-decode scratch, reused across batches: once grown to the
@@ -1350,12 +1166,12 @@ fn engine_thread(
                     if session.refit_in_flight.swap(true, Ordering::SeqCst) {
                         shared.metrics.refit_coalesced();
                     } else {
-                        submit_refit(&shared, shard, &session, &mut engine);
+                        submit_refit(&shared, &session, &mut engine);
                     }
                 }
             }
             EngineMsg::Finish => {
-                finish_session(&shared, shard, &session, engine, suite_key);
+                finish_session(&shared, &session, engine, suite_key);
                 return;
             }
         }
@@ -1364,7 +1180,7 @@ fn engine_thread(
 
 /// Cuts the session's accumulated delta (everything since the rows the
 /// [`FitState`] has already absorbed) and queues an *incremental* refit
-/// on the shard's pool (DESIGN.md D15). The job folds the delta into
+/// on the fit pool (DESIGN.md D15). The job folds the delta into
 /// the session's delta-maintained split statistics, rebuilds only the
 /// subtrees whose best split changed, and reports the movement as a
 /// [`ServerMsg::RefitDelta`] — nodes changed, training RE from → to —
@@ -1374,12 +1190,7 @@ fn engine_thread(
 /// `FitState`, so its "delta" is the whole accumulated prefix — which
 /// by the D15 soundness argument produces exactly the tree a scratch
 /// fit of that prefix would, the property the recovery tests pin.
-fn submit_refit(
-    shared: &Arc<Shared>,
-    shard: usize,
-    session: &Arc<SessionShared>,
-    engine: &mut SessionEngine,
-) {
+fn submit_refit(shared: &Arc<Shared>, session: &Arc<SessionShared>, engine: &mut SessionEngine) {
     let absorbed = session
         .refit
         .lock()
@@ -1391,44 +1202,42 @@ fn submit_refit(
     let cfg = *engine.config();
     let job_shared = Arc::clone(shared);
     let job_session = Arc::clone(session);
-    let queued = shared.shards[shard]
-        .scheduler
-        .submit(&shared.metrics, move || {
-            // Same tree parameters the final fit's CV folds use.
-            let fitter = Fitter::new()
-                .max_leaves(cfg.analysis.cv.k_max)
-                .min_leaf(cfg.analysis.cv.min_leaf);
-            let delta_vectors = vectors.len() as u64;
-            let delta = FitDelta::new(vectors, cpis);
-            let msg = {
-                let mut refit = job_session.refit.lock();
-                let mut state = refit.state.take().unwrap_or_else(|| fitter.begin());
-                let tree = fitter.incremental(&mut state, &delta);
-                let re_to = tree.training_re();
-                let nodes_changed = match &refit.prev_tree {
-                    Some(prev) => tree.nodes_changed_from(prev),
-                    None => tree.nodes().len(),
-                } as u64;
-                // Before any interim fit the "model" is the root mean:
-                // all of the variance is unexplained, RE = 1.
-                let re_from = refit.prev_re.unwrap_or(1.0);
-                let msg = ServerMsg::RefitDelta {
-                    vectors: total,
-                    delta_vectors,
-                    nodes_changed,
-                    num_leaves: tree.num_leaves() as u64,
-                    re_from,
-                    re_to,
-                };
-                refit.prev_re = Some(re_to);
-                refit.prev_tree = Some(tree);
-                refit.state = Some(state);
-                msg
+    let queued = shared.scheduler.submit(&shared.metrics, move || {
+        // Same tree parameters the final fit's CV folds use.
+        let fitter = Fitter::new()
+            .max_leaves(cfg.analysis.cv.k_max)
+            .min_leaf(cfg.analysis.cv.min_leaf);
+        let delta_vectors = vectors.len() as u64;
+        let delta = FitDelta::new(vectors, cpis);
+        let msg = {
+            let mut refit = job_session.refit.lock();
+            let mut state = refit.state.take().unwrap_or_else(|| fitter.begin());
+            let tree = fitter.incremental(&mut state, &delta);
+            let re_to = tree.training_re();
+            let nodes_changed = match &refit.prev_tree {
+                Some(prev) => tree.nodes_changed_from(prev),
+                None => tree.nodes().len(),
+            } as u64;
+            // Before any interim fit the "model" is the root mean:
+            // all of the variance is unexplained, RE = 1.
+            let re_from = refit.prev_re.unwrap_or(1.0);
+            let msg = ServerMsg::RefitDelta {
+                vectors: total,
+                delta_vectors,
+                nodes_changed,
+                num_leaves: tree.num_leaves() as u64,
+                re_from,
+                re_to,
             };
-            job_shared.metrics.refit_run();
-            let _ = job_session.send(&msg);
-            job_session.refit_in_flight.store(false, Ordering::SeqCst);
-        });
+            refit.prev_re = Some(re_to);
+            refit.prev_tree = Some(tree);
+            refit.state = Some(state);
+            msg
+        };
+        job_shared.metrics.refit_run();
+        let _ = job_session.send(&msg);
+        job_session.refit_in_flight.store(false, Ordering::SeqCst);
+    });
     if !queued {
         // Daemon is stopping: the job never ran, so clear the latch
         // ourselves or `finish_session` would wait on it forever.
@@ -1436,12 +1245,11 @@ fn submit_refit(
     }
 }
 
-/// Runs the final fit on the shard's pool (so a burst of finishing
-/// sessions is still bounded by the worker budget), stores the
-/// session's suite partial, then reports and says goodbye.
+/// Runs the final fit on the fit pool (so a burst of finishing sessions
+/// is still bounded by the worker budget), stores the session's suite
+/// partial, then reports and says goodbye.
 fn finish_session(
     shared: &Arc<Shared>,
-    shard: usize,
     session: &Arc<SessionShared>,
     engine: SessionEngine,
     suite_key: String,
@@ -1451,11 +1259,9 @@ fn finish_session(
         std::thread::sleep(Duration::from_millis(1));
     }
     let (dtx, drx) = crossbeam::channel::bounded(1);
-    let queued = shared.shards[shard]
-        .scheduler
-        .submit(&shared.metrics, move || {
-            let _ = dtx.send(engine.finalize_with_partial());
-        });
+    let queued = shared.scheduler.submit(&shared.metrics, move || {
+        let _ = dtx.send(engine.finalize_with_partial());
+    });
     let outcome = if queued {
         match drx.recv() {
             Ok(r) => r,
@@ -1477,10 +1283,7 @@ fn finish_session(
                 cpi: welford.state(),
                 samples: progress.samples,
             };
-            shared.shards[shard]
-                .partials
-                .lock()
-                .insert(suite_key, partial);
+            shared.partials.lock().insert(suite_key, partial);
             // The report is out: the session's spool is no longer
             // needed, whatever happens to the socket from here on.
             session.completed.store(true, Ordering::SeqCst);

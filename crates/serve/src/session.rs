@@ -210,8 +210,8 @@ impl SessionEngine {
 
     /// Like [`finalize`](Self::finalize), but also hands back the
     /// session's suite contribution: the finished [`EipvData`] plus the
-    /// raw sample-CPI accumulator. The sharded daemon stores these as a
-    /// [`fuzzyphase::SessionPartial`] for the cross-shard suite merge.
+    /// raw sample-CPI accumulator. The daemon stores these as a
+    /// [`fuzzyphase::SessionPartial`] for the cross-session suite merge.
     pub fn finalize_with_partial(
         self,
     ) -> Result<(FitOutcome, IngestProgress, (EipvData, Welford)), String> {

@@ -331,89 +331,33 @@ impl SessionSpool {
     /// directory — a fresh segment starts. The frame sequence continues
     /// from the recovered high-water mark.
     pub fn resume(cfg: &SpoolConfig, recovered: &RecoveredSpool) -> io::Result<Self> {
-        let dir = cfg.dir.join(&recovered.state.meta.token);
-        Self::resume_in(dir, cfg, recovered)
-    }
-
-    /// Like [`resume`](Self::resume), but appends into an explicit
-    /// session directory instead of recomputing `cfg.dir/<token>`. The
-    /// sharded daemon needs this: after a restart with a different
-    /// `--shards` count, a recovered spool may live under a shard
-    /// subdirectory the current hash no longer maps its token to — the
-    /// resume must reopen the segments where they actually are.
-    pub fn resume_in(
-        dir: PathBuf,
-        cfg: &SpoolConfig,
-        recovered: &RecoveredSpool,
-    ) -> io::Result<Self> {
-        match recovered.active_segment {
-            Some((index, valid_len)) => Self::reopen_in(
-                dir,
-                cfg,
-                recovered.state.meta.clone(),
-                index,
-                valid_len,
-                recovered.state.frames,
-            ),
+        let meta = recovered.state.meta.clone();
+        let dir = cfg.dir.join(&meta.token);
+        let (file, seg_index, seg_len) = match recovered.active_segment {
+            Some((index, valid_len)) => {
+                let path = dir.join(segment_name(index));
+                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+                file.set_len(valid_len)?;
+                file.seek(SeekFrom::End(0))?;
+                (file, index, valid_len)
+            }
             None => {
                 std::fs::create_dir_all(&dir)?;
-                let (file, seg_len) = open_segment_file(&dir, &recovered.state.meta, 0)?;
+                let (file, seg_len) = open_segment_file(&dir, &meta, 0)?;
                 fsync_dir(&dir)?;
-                Ok(Self {
-                    dir,
-                    meta: recovered.state.meta.clone(),
-                    segment_bytes: cfg.segment_bytes.max(1),
-                    fsync_every: cfg.fsync_every,
-                    file,
-                    seg_index: 0,
-                    seg_len,
-                    unsynced: 0,
-                    last_seq: recovered.state.frames,
-                })
+                (file, 0, seg_len)
             }
-        }
-    }
-
-    /// Reopens a recovered session's spool for appending: truncates the
-    /// torn tail of the active segment (if any) and continues the frame
-    /// sequence from `last_seq`.
-    pub fn reopen(
-        cfg: &SpoolConfig,
-        meta: SessionMeta,
-        active_segment: u64,
-        valid_len: u64,
-        last_seq: u64,
-    ) -> io::Result<Self> {
-        let dir = cfg.dir.join(&meta.token);
-        Self::reopen_in(dir, cfg, meta, active_segment, valid_len, last_seq)
-    }
-
-    /// [`reopen`](Self::reopen) with an explicit session directory (see
-    /// [`resume_in`](Self::resume_in) for why shard-aware recovery needs
-    /// one).
-    pub fn reopen_in(
-        dir: PathBuf,
-        cfg: &SpoolConfig,
-        meta: SessionMeta,
-        active_segment: u64,
-        valid_len: u64,
-        last_seq: u64,
-    ) -> io::Result<Self> {
-        let path = dir.join(segment_name(active_segment));
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
+        };
         Ok(Self {
             dir,
             meta,
             segment_bytes: cfg.segment_bytes.max(1),
             fsync_every: cfg.fsync_every,
             file,
-            seg_index: active_segment,
-            seg_len: valid_len,
+            seg_index,
+            seg_len,
             unsynced: 0,
-            last_seq,
+            last_seq: recovered.state.frames,
         })
     }
 

@@ -8,6 +8,9 @@ use fuzzyphase_profiler::Sample;
 use fuzzyphase_serve::{ClientControl, ManualClock, ServeClient, Server, ServerConfig, ServerMsg};
 use std::sync::Arc;
 
+mod support;
+use support::{offline_suite, session_trace};
+
 /// A cheap synthetic trace with real phase structure (three EIP bands).
 fn synth_trace(n: u64) -> Vec<Sample> {
     (0..n)
@@ -399,5 +402,76 @@ fn shutdown_control_request_reaches_the_daemon() {
     admin.close();
 
     assert!(server.shutdown_requested());
+    server.shutdown();
+}
+
+/// Four sequential sessions, then `SuiteReport`: the daemon's merged
+/// suite analysis equals the offline merge + fit of the same traces bit
+/// for bit, and the counts cover every session. Sessions run one after
+/// another so their ids — and so the tokens the merge orders by — are
+/// `sess-00000001`.. in trace order, as the offline partials assume.
+#[test]
+fn suite_report_is_bit_identical_to_the_offline_merge() {
+    let spv = 20;
+    let traces: Vec<Vec<Sample>> = (0..4).map(|s| session_trace(s, 400 + s * 100)).collect();
+    let cfg = tiny_server_cfg();
+    let server = Server::start(cfg.clone()).expect("start");
+    let addr = server.local_addr().to_string();
+    for (i, t) in traces.iter().enumerate() {
+        stream_and_report(&addr, &format!("suite-{i}"), t, spv, 0, 64);
+    }
+    let mut client = ServeClient::connect(&addr).expect("connect suite");
+    let suite = client.suite_report().expect("suite report");
+    client.close();
+    server.shutdown();
+
+    let ServerMsg::SuiteReport {
+        report,
+        quadrant,
+        recommendation,
+        sessions,
+        samples,
+        vectors,
+    } = suite
+    else {
+        panic!("expected SuiteReport, got {suite:?}");
+    };
+    assert_eq!(sessions, traces.len() as u64);
+    assert_eq!(samples, traces.iter().map(|t| t.len() as u64).sum::<u64>());
+    assert_eq!(
+        vectors,
+        traces.iter().map(|t| (t.len() / spv) as u64).sum::<u64>()
+    );
+    let offline = offline_suite(&cfg, &traces, spv);
+    assert_eq!(quadrant, offline.quadrant);
+    assert_eq!(recommendation, offline.recommendation);
+    assert_eq!(report, offline.report);
+    assert_eq!(report.re_curve.len(), offline.report.re_curve.len());
+    for (a, b) in report.re_curve.iter().zip(&offline.report.re_curve) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!(
+        report.cpi_variance.to_bits(),
+        offline.report.cpi_variance.to_bits()
+    );
+}
+
+/// `SuiteReport` before any session finished is an error; one finished
+/// (spool-less) session makes the suite available.
+#[test]
+fn suite_report_before_any_finished_session_is_an_error() {
+    let server = Server::start(tiny_server_cfg()).expect("start");
+    let addr = server.local_addr().to_string();
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    let err = client.suite_report().expect_err("no finished sessions");
+    assert!(err.to_string().contains("no finished sessions"), "{err}");
+
+    stream_and_report(&addr, "only", &session_trace(1, 400), 20, 0, 64);
+    let suite = client.suite_report().expect("suite after one session");
+    let ServerMsg::SuiteReport { sessions, .. } = suite else {
+        panic!("expected SuiteReport, got {suite:?}");
+    };
+    assert_eq!(sessions, 1);
+    drop(client);
     server.shutdown();
 }

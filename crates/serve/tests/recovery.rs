@@ -4,9 +4,16 @@
 //! the full trace. Plus the torn-write case: a truncated final spool
 //! record must be ignored cleanly, not panic or corrupt state.
 
+use fuzzyphase_profiler::trace::write_samples_v2;
 use fuzzyphase_profiler::{EipvData, Sample};
-use fuzzyphase_serve::{ServeClient, Server, ServerConfig, ServerMsg, SpoolConfig};
+use fuzzyphase_serve::{
+    ServeClient, Server, ServerConfig, ServerMsg, SessionMeta, SessionSpool, SpoolConfig,
+};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+mod support;
+use support::{offline_suite, session_trace};
 
 fn trace(n: u64) -> Vec<Sample> {
     (0..n)
@@ -368,6 +375,32 @@ fn resume_guards_reject_bad_tokens_and_double_resume() {
     assert!(err.to_string().contains("already connected"), "{err}");
     drop(b);
 
+    // Tokens that are not the daemon's own `sess-<digits>` shape are
+    // refused before they can name a path: a relative escape, an
+    // absolute path (which `Path::join` would let replace the root) and
+    // the empty string. The spool root is exactly as it was.
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&spool_dir)
+            .expect("spool root")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    for bad in ["../x/sess-00000001", "/tmp/fz-abs", ""] {
+        let mut c = ServeClient::connect(&addr).expect("connect bad");
+        let err = c
+            .hello_resume("bad", 20, 0, bad)
+            .expect_err("malformed token");
+        assert!(
+            err.to_string().contains("invalid resume token"),
+            "{bad:?}: {err}"
+        );
+        drop(c);
+    }
+    assert_eq!(listing(), before);
+
     // Mismatched spv is refused but leaves the session resumable. The
     // token is released a beat after the session leaves the map, so
     // retry past "already connected" until teardown finishes.
@@ -418,4 +451,172 @@ fn sessions_without_spool_have_no_tokens_and_no_resume() {
     assert!(err.to_string().contains("no spool"), "{err}");
     drop(client);
     server.shutdown();
+}
+
+/// Three sessions spooled part-way, then a whole-daemon kill: after a
+/// restart every session resumes by token, each `Report` equals its
+/// own offline fit, and the `SuiteReport` over the resumed sessions
+/// equals the offline merge of the full traces.
+#[test]
+fn killed_sessions_resume_and_match_the_offline_suite() {
+    let spool_dir = test_spool("kill-suite");
+    let spv = 20;
+    let batch = 40;
+    let traces: Vec<Vec<Sample>> = (0..3).map(|s| session_trace(s, 600)).collect();
+    let crash_frames = 7usize; // 280 of 600 samples durable per session
+
+    let cfg = server_config(&spool_dir, 1);
+    let server = Server::start(cfg.clone()).expect("start");
+    let addr = server.local_addr().to_string();
+    let mut tokens = Vec::new();
+    let mut clients = Vec::new();
+    for (i, t) in traces.iter().enumerate() {
+        let mut client = ServeClient::connect(&addr).expect("connect");
+        client.hello(&format!("crashy-{i}"), spv, 0).expect("hello");
+        tokens.push(client.resume_token().expect("token").to_string());
+        stream_and_ack(&mut client, &t[..crash_frames * batch], batch);
+        clients.push(client);
+    }
+    server.abort();
+    drop(clients);
+
+    let server = Server::start(cfg.clone()).expect("restart");
+    assert_eq!(server.stats().sessions_recovered, 3);
+    assert_eq!(server.stats().recovery_failed, 0);
+    assert_eq!(
+        server.stats().frames_replayed,
+        (3 * crash_frames) as u64,
+        "every acked frame must be durable"
+    );
+    let addr = server.local_addr().to_string();
+    for (i, t) in traces.iter().enumerate() {
+        let mut client = ServeClient::connect(&addr).expect("reconnect");
+        let last_seq = client
+            .hello_resume(&format!("crashy-{i}"), spv, 0, &tokens[i])
+            .expect("resume");
+        assert_eq!(last_seq, crash_frames as u64);
+        let covered = last_seq as usize * batch;
+        client.stream_trace(&t[covered..], batch).expect("rest");
+        client.finish().expect("finish");
+        let (report, _) = client.wait_report().expect("report");
+        client.close();
+        let expect = offline_fit(t, spv, &cfg);
+        let ServerMsg::Report {
+            report, samples, ..
+        } = report
+        else {
+            panic!("expected Report");
+        };
+        assert_eq!(samples, t.len() as u64);
+        assert_eq!(report, expect.report);
+    }
+
+    // Tokens were issued by the first daemon as sess-00000001..,
+    // matching the offline partials' keys.
+    let mut client = ServeClient::connect(&addr).expect("connect suite");
+    let suite = client.suite_report().expect("suite report");
+    client.close();
+    server.shutdown();
+    let offline = offline_suite(&cfg, &traces, spv);
+    let ServerMsg::SuiteReport {
+        report,
+        quadrant,
+        sessions,
+        samples,
+        ..
+    } = suite
+    else {
+        panic!("expected SuiteReport");
+    };
+    assert_eq!(sessions, 3);
+    assert_eq!(samples, traces.iter().map(|t| t.len() as u64).sum::<u64>());
+    assert_eq!(quadrant, offline.quadrant);
+    assert_eq!(report, offline.report);
+    for (a, b) in report.re_curve.iter().zip(&offline.report.re_curve) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
+/// Every file under `dir`, keyed by its path relative to `dir`.
+fn file_contents(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).expect("read dir") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                out.insert(rel, std::fs::read(&path).expect("read file"));
+            }
+        }
+    }
+    out
+}
+
+/// A spool root holding one session directory plus a subdirectory that
+/// itself holds a session spool one level down (what an older nested
+/// spool layout leaves behind): the flat session recovers and resumes,
+/// the nested directory counts as `recovery_failed` and every file in
+/// it is left byte-identical.
+#[test]
+fn unrecoverable_directories_are_counted_and_left_untouched() {
+    let spool_dir = test_spool("nested");
+    let full = trace(400);
+    let spv = 20;
+    let batch = 40;
+
+    let cfg = server_config(&spool_dir, 1);
+    let server = Server::start(cfg.clone()).expect("start");
+    let addr = server.local_addr().to_string();
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    client.hello("flat", spv, 0).expect("hello");
+    let token = client.resume_token().expect("token").to_string();
+    stream_and_ack(&mut client, &full[..200], batch);
+    server.abort();
+    drop(client);
+
+    let nested = spool_dir.join("legacy-001");
+    let meta = SessionMeta {
+        token: "sess-00000005".to_string(),
+        name: "nested".to_string(),
+        spv,
+        refit_every: 0,
+        protocol: 2,
+    };
+    let mut spool = SessionSpool::create(&SpoolConfig::new(nested.clone()), meta).expect("create");
+    for chunk in full.chunks(batch).take(3) {
+        spool
+            .append_frame(&write_samples_v2(chunk))
+            .expect("append");
+    }
+    spool.sync().expect("sync");
+    drop(spool);
+    let nested_before = file_contents(&nested);
+    assert!(!nested_before.is_empty());
+
+    let server = Server::start(cfg.clone()).expect("restart");
+    let stats = server.stats();
+    assert_eq!(stats.sessions_recovered, 1);
+    assert_eq!(stats.recovery_failed, 1);
+    let addr = server.local_addr().to_string();
+    let mut client = ServeClient::connect(&addr).expect("reconnect");
+    let last_seq = client.hello_resume("flat", spv, 0, &token).expect("resume");
+    assert_eq!(last_seq, 5);
+    let covered = last_seq as usize * batch;
+    client.stream_trace(&full[covered..], batch).expect("rest");
+    client.finish().expect("finish");
+    let (report, _) = client.wait_report().expect("report");
+    client.close();
+    server.shutdown();
+
+    let expect = offline_fit(&full, spv, &cfg);
+    let ServerMsg::Report { report, .. } = report else {
+        panic!("expected Report");
+    };
+    assert_eq!(report, expect.report);
+    assert_eq!(file_contents(&nested), nested_before);
+    let _ = std::fs::remove_dir_all(&spool_dir);
 }

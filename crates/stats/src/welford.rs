@@ -257,7 +257,7 @@ impl MergeableWelford {
 
     /// The raw accumulator state `(count, mean, m2)` — the same exact
     /// checkpoint form as [`Welford::state`]. The serve daemon ships
-    /// per-shard CPI accumulators across the merge boundary this way.
+    /// per-session CPI accumulators across the merge boundary this way.
     pub fn state(&self) -> (u64, f64, f64) {
         self.inner.state()
     }
@@ -446,9 +446,9 @@ mod tests {
     #[test]
     fn merge_order_over_sorted_parts_is_deterministic() {
         // Folding parts in one fixed (sorted) order must give the same
-        // bits every time — the property the cross-shard suite merge
-        // leans on: order is derived from tokens, never from shard
-        // layout, so any sharding collapses to the same fold.
+        // bits every time — the property the cross-session suite merge
+        // leans on: order is derived from tokens, never from completion
+        // order, so any arrival order collapses to the same fold.
         let parts: Vec<MergeableWelford> = (0..5)
             .map(|i| {
                 let mut w = MergeableWelford::new();

@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
-# Daemon smoke test, four legs:
+# Daemon smoke test, three legs:
 #
 #   1. Throughput: fuzzyphased on an ephemeral port, 4 concurrent
 #      loadgen sessions, graceful Shutdown drain.
 #   2. Durability: a spooled daemon is SIGKILLed mid-stream between two
 #      loadgen phases; the restarted daemon must recover the spools and
 #      every session must resume by token and report successfully.
-#   3. Sharding (DESIGN.md D11): the same kill in the middle of a
-#      4-shard daemon, with the restart running 2 shards — sessions must
-#      route, die and resume across a shard-count change.
-#   4. Diff (DESIGN.md D14): two archived sessions are diffed offline by
+#   3. Diff (DESIGN.md D14): two archived sessions are diffed offline by
 #      the fuzzydiff CLI and again through the recovered daemon's Diff
 #      request; the two reports must be byte-identical, and the diffed
 #      sessions must still resume afterwards (Diff is read-only).
@@ -25,7 +22,6 @@ SESSIONS="${SESSIONS:-4}"
 SAMPLES="${SAMPLES:-50000}"
 OUT="${OUT:-BENCH_serve.json}"
 RESUME_OUT="${RESUME_OUT:-BENCH_serve_resume.json}"
-SHARD_OUT="${SHARD_OUT:-BENCH_serve_shards.json}"
 DIFF_OUT="${DIFF_OUT:-BENCH_serve_diff.json}"
 SPOOL="serve-smoke-spool"
 LOG="$(mktemp)"
@@ -142,37 +138,7 @@ grep -q '"all_reports_ok": true' "$RESUME_OUT"
 grep -q '"sessions_resumed": 2' "$RESUME_OUT"
 echo "serve_smoke: OK (kill-and-resume leg, reports in $RESUME_OUT)"
 
-# ---- leg 3: SIGKILL a 4-shard daemon, restart with 2 shards ---------
-
-rm -rf "$SPOOL"
-start_daemon --shards 4 --spool-dir "$SPOOL" --fsync-every 1
-
-# Three sessions route across the shards by token hash; ten durable
-# frames each, no Finish.
-./target/release/loadgen --addr "$ADDR" --sessions 3 --samples 20000 \
-    --batch 500 --spv 50 --restart-after 10 --phase first --tokens "$TOKENS"
-
-kill -9 "$DAEMON"
-wait "$DAEMON" 2>/dev/null || true
-if ! ls -d "$SPOOL"/shard-* >/dev/null 2>&1; then
-    echo "serve_smoke: 4-shard daemon left no shard-NNN spool dirs" >&2
-    exit 1
-fi
-
-# Restarting with a different shard count must still recover every
-# session: the scan is layout-agnostic and resumes reopen in place.
-start_daemon --shards 2 --spool-dir "$SPOOL" --fsync-every 1
-
-./target/release/loadgen --addr "$ADDR" --sessions 3 --samples 20000 \
-    --batch 500 --spv 50 --phase resume --tokens "$TOKENS" \
-    --out "$SHARD_OUT" --shutdown
-
-wait_daemon_exit
-grep -q '"all_reports_ok": true' "$SHARD_OUT"
-grep -q '"sessions_resumed": 3' "$SHARD_OUT"
-echo "serve_smoke: OK (sharded kill-and-resume leg, reports in $SHARD_OUT)"
-
-# ---- leg 4: daemon Diff reply == offline fuzzydiff, byte for byte ----
+# ---- leg 3: daemon Diff reply == offline fuzzydiff, byte for byte ----
 
 rm -rf "$SPOOL"
 start_daemon --spool-dir "$SPOOL" --fsync-every 1
